@@ -2,8 +2,9 @@
 coefficient tables, and the closed-form-vs-naive-summation benchmark.
 
 Reports go to standard output (or --out); diagnostics go to standard
-error.  Exit codes: 0 success, 1 suite/equality failure, 2 invalid
-configuration, 3 printed-form audit FAIL, 4 output I/O failure.
+error.  Exit codes: 0 success, 1 suite/equality failure or an unexpected
+error (reported as one line on standard error), 2 invalid configuration,
+3 printed-form audit FAIL, 4 output I/O failure.
 """
 from __future__ import annotations
 
@@ -490,7 +491,16 @@ def main(argv: list[str] | None = None) -> int:
         parallel=args.parallel,
         unsafe_no_caps=args.unsafe_no_caps,
     )
-    return _COMMANDS[config.command](config)
+    try:
+        return _COMMANDS[config.command](config)
+    except Exception as exc:
+        # No traceback: one line naming the command and the exception.
+        message = " ".join(str(exc).split())
+        print(
+            f"error: {config.command}: {type(exc).__name__}: {message}",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

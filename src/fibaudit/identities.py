@@ -30,7 +30,7 @@ from .ring import (
     unit_inverse,
     unit_pow,
 )
-from .sequences import binomial, fib, lucas, q_coeff, s_coeff
+from .sequences import binomial, coeff_row, fib, lucas
 
 
 class PreconditionError(ValueError):
@@ -155,29 +155,42 @@ def remark1_relation(p: int, index: int) -> tuple[GoldenInt, GoldenInt]:
     return _as_golden(lhs), _as_golden(rhs)
 
 
+def _weighted_fib_sum(n: int, w: GoldenInt) -> GoldenInt:
+    """sum_{k=0..n} C(n,k) w^k F_k by direct summation, carrying w^k, C(n,k)
+    and F_k from term to term (one ring multiplication per term)."""
+    u = v = 0
+    wk = ONE
+    c = 1  # C(n, k)
+    fk, fk1 = 0, 1
+    for k in range(n + 1):
+        m = c * fk
+        u += m * wk.u
+        v += m * wk.v
+        wk = wk * w
+        c = c * (n - k) // (k + 1)
+        fk, fk1 = fk1, fk + fk1
+    return GoldenInt(u, v)
+
+
 def prop1_eval(n: int, p: int, variant: int) -> tuple[GoldenInt, GoldenInt]:
     """Weighted binomial sums of F_k against golden-power weights and their
     closed forms (variants 811..814).  Both sides as exact ring elements."""
     x, y = PHI, PSI
     if variant == 811:
         w = unit_pow(x, p)
-        lhs = sum(binomial(n, k) * ring_pow(w, k) * fib(k) for k in range(n + 1))
         num = (unit_pow(x, p + 1) + 1) ** n - (-1) ** n * (unit_pow(x, p - 1) - 1) ** n
     elif variant == 812:
         w = -unit_pow(x, p)
-        lhs = sum(binomial(n, k) * ring_pow(w, k) * fib(k) for k in range(n + 1))
         num = (-1) ** n * (unit_pow(x, p + 1) - 1) ** n - (unit_pow(x, p - 1) + 1) ** n
     elif variant == 813:
         w = unit_pow(y, p)
-        lhs = sum(binomial(n, k) * ring_pow(w, k) * fib(k) for k in range(n + 1))
         num = (-1) ** n * (unit_pow(y, p - 1) - 1) ** n - (unit_pow(y, p + 1) + 1) ** n
     elif variant == 814:
         w = -unit_pow(y, p)
-        lhs = sum(binomial(n, k) * ring_pow(w, k) * fib(k) for k in range(n + 1))
         num = (unit_pow(y, p - 1) + 1) ** n - (-1) ** n * (unit_pow(y, p + 1) - 1) ** n
     else:
         raise ValueError(f"variant must be one of 811, 812, 813, 814, got {variant}")
-    return _as_golden(lhs), div_sqrt5(_as_golden(num))
+    return _weighted_fib_sum(n, w), div_sqrt5(_as_golden(num))
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +268,28 @@ FAMILY_POWER_SIGN = {
 }
 
 
-def _q_at(n: int, c: int) -> int:
-    # q(-1, c) = 0: every binomial in the defining sum vanishes.
-    return q_coeff(n, c) if n >= 0 else 0
+def _lucas_weighted_sum(row: tuple[int, ...], e: int, j_hi: int) -> int:
+    """row[0] + sum_{j=1..j_hi} row[j] * L_{e*j}, where row[j] = 0 past the
+    end of the row.
+
+    L_{e*j} is generated by L_{e(j+1)} = L_e L_{ej} - (-1)^e L_{e(j-1)}.
+    """
+    if not row:
+        return 0
+    total = row[0]
+    le = lucas(e)
+    sign = -1 if e % 2 else 1  # (-1)^e
+    prev, cur = 2, le  # L_0, L_e
+    for j in range(1, min(j_hi, len(row) - 1) + 1):
+        total += row[j] * cur
+        prev, cur = cur, le * cur - sign * prev
+    return total
 
 
-def _s_at(n: int, c: int) -> int:
-    return s_coeff(n, c) if n >= 0 else 0
+def _row_before(kind: str, n: int) -> tuple[int, ...]:
+    """Coefficient row n-1; for n = 0 the empty row, since q(-1, c) = 0:
+    every binomial in the defining sum vanishes."""
+    return coeff_row(kind, n - 1) if n else ()
 
 
 def closed_form_rhs(
@@ -322,32 +350,34 @@ def closed_form_rhs(
 
     if family is IdentityFamily.T6:
         t_hi = p - 1 if reading == "printed" else p
+        q_row, s_row = _row_before("Q", n), _row_before("S", n)
         part1 = 0
         for t in range(t_hi + 1):
             e = 4 * p - 4 * t + 1
-            inner = sum(_q_at(n - 1, j) * lucas(e * j) for j in range(1, n))
-            part1 += binomial(4 * p + 1, 2 * t) * fib(e) * (inner + _q_at(n - 1, 0))
+            inner = _lucas_weighted_sum(q_row, e, n - 1)
+            part1 += binomial(4 * p + 1, 2 * t) * fib(e) * inner
         part2 = 0
         for t in range(p):
             e = 4 * p - 4 * t - 1
-            inner = sum(_s_at(n - 1, j) * lucas(e * j) for j in range(1, n))
-            part2 += binomial(4 * p + 1, 2 * t + 1) * fib(e) * (inner + _s_at(n - 1, 0))
+            inner = _lucas_weighted_sum(s_row, e, n - 1)
+            part2 += binomial(4 * p + 1, 2 * t + 1) * fib(e) * inner
         total = part1 - (-1) ** n * part2 + binomial(4 * p + 1, 2 * p) * fib(2 * n)
         return _classify(_Q5(Fraction(total, 5 ** (2 * p))))
 
     if family is IdentityFamily.T7:
         t_hi = p if reading != "t-to-p-1" else p - 1
         j_hi = n if reading != "j-to-n-1" else n - 1
+        q_row, s_row = _row_before("Q", n), _row_before("S", n)
         part1 = 0
         for t in range(t_hi + 1):
             e = 4 * p - 4 * t + 3
-            inner = sum(_q_at(n - 1, j) * lucas(e * j) for j in range(1, j_hi + 1))
-            part1 += binomial(4 * p + 3, 2 * t) * fib(e) * (inner + _q_at(n - 1, 0))
+            inner = _lucas_weighted_sum(q_row, e, j_hi)
+            part1 += binomial(4 * p + 3, 2 * t) * fib(e) * inner
         part2 = 0
         for t in range(p):
             e = 4 * p - 4 * t + 1
-            inner = sum(_s_at(n - 1, j) * lucas(e * j) for j in range(1, n))
-            part2 += binomial(4 * p + 3, 2 * t + 1) * fib(e) * (inner + _s_at(n - 1, 0))
+            inner = _lucas_weighted_sum(s_row, e, n - 1)
+            part2 += binomial(4 * p + 3, 2 * t + 1) * fib(e) * inner
         total = part1 - (-1) ** n * part2 + binomial(4 * p + 3, 2 * p + 1) * fib(n)
         return _classify(_Q5(Fraction(total, 5 ** (2 * p + 1))))
 
@@ -382,18 +412,20 @@ def cross_power_expansion(n: int, a, shift: int):
     if a * b != -1:
         raise PreconditionError(f"a*b = {a * b}, expected -1")
 
-    direct = sum(
-        _pow0(a + shift, n - j) * _pow0(b + shift, j) for j in range(n + 1)
-    )
-    coeff = q_coeff if shift == 1 else s_coeff
-    expanded = sum(
-        coeff(n, c) * (_pow0(a, c) + _pow0(b, c)) for c in range(1, n + 1)
-    ) + coeff(n, 0)
+    a_shift, b_shift = _powers(a + shift, n), _powers(b + shift, n)
+    direct = sum(a_shift[n - j] * b_shift[j] for j in range(n + 1))
+    row = coeff_row("Q" if shift == 1 else "S", n)
+    a_pow, b_pow = _powers(a, n), _powers(b, n)
+    expanded = sum(row[c] * (a_pow[c] + b_pow[c]) for c in range(1, n + 1)) + row[0]
     return direct, expanded
 
 
-def _pow0(x, k: int):
-    return 1 if k == 0 else x**k
+def _powers(x, n: int) -> list:
+    """[x^0, ..., x^n] by repeated multiplication; x^0 is the integer 1."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -70,15 +70,46 @@ def binomial(n: int, k: int) -> int:
 
 
 def q_coeff(n: int, c: int) -> int:
-    """q(n, c) = sum_{m=0..n} (-1)^m C(n+1, 2m+c+1)."""
+    """q(n, c) = sum_{m=0..n} (-1)^m C(n+1, 2m+c+1).
+
+    The reference definition.  Terms with m > (n-c)/2 have 2m+c+1 > n+1,
+    so their binomials vanish and the loop stops there.
+    """
     if n < 0 or c < 0:
         raise ValueError("n and c must be non-negative")
-    return sum((-1) ** m * binomial(n + 1, 2 * m + c + 1) for m in range(n + 1))
+    return sum(
+        (-1) ** m * binomial(n + 1, 2 * m + c + 1) for m in range((n - c) // 2 + 1)
+    )
 
 
 def s_coeff(n: int, c: int) -> int:
     """s(n, c) = (-1)^(n+c) * sum_{m=0..n} (-1)^m C(n+1, 2m+c+1)."""
     return (-1) ** (n + c) * q_coeff(n, c)
+
+
+def coeff_row(kind: str, n: int) -> tuple[int, ...]:
+    """Row n of the q ("Q") or s ("S") coefficients, (x(n,0), ..., x(n,n)),
+    in O(n) big-integer additions and small-integer multiplications.
+
+    The defining sums of q(n,c) and q(n,c+2) differ only in the first
+    term, so q(n,c) = C(n+1,c+1) - q(n,c+2).  The row is filled from c = n
+    down, with q(n,c) = 0 for c > n and C(n+1,c+1) updated exactly as c
+    falls.  s(n,c) = (-1)^(n+c) q(n,c).
+    """
+    if kind not in ("Q", "S"):
+        raise ValueError(f"kind must be 'Q' or 'S', got {kind!r}")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    row = [0] * (n + 3)
+    b = 1  # C(n+1, c+1), starting at c = n
+    for c in range(n, -1, -1):
+        row[c] = b - row[c + 2]
+        b = b * (c + 1) // (n + 1 - c)
+    del row[n + 1:]
+    if kind == "S":
+        for c in range((n + 1) % 2, n + 1, 2):
+            row[c] = -row[c]
+    return tuple(row)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,15 @@ def test_audit_out_io_failure(capsys):
     assert rc == 4
 
 
+def test_escaping_exception_is_one_line(capsys):
+    # T4's printed value passes CPython's 4300-digit int->str limit here.
+    rc, out, err = run(capsys, "audit", "--families", "T4", "--n-max", "96", "--p-max", "2")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: audit: ValueError: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_tables_csv(capsys):
     rc, out, _ = run(capsys, "tables", "--n-max", "2", "--format", "csv")
     assert rc == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from fibaudit.identities import (
     FAMILY_READINGS,
+    _lucas_weighted_sum,
     IdentityFamily,
     PreconditionError,
     audit,
@@ -16,7 +17,7 @@ from fibaudit.identities import (
     render_exact,
 )
 from fibaudit.ring import GoldenInt, NotIntegral, PHI
-from fibaudit.sequences import fib
+from fibaudit.sequences import coeff_row, fib, lucas
 
 F = IdentityFamily
 
@@ -119,6 +120,27 @@ def test_t6_t7_match_oracle():
             assert closed_form_rhs(F.T7, n, p) == fib_power_sum_oracle(
                 n, 4 * p + 3, "+"
             ), ("T7", n, p)
+
+
+def test_t6_t7_large_cell_matches_oracle():
+    n, p = 300, 3
+    assert closed_form_rhs(F.T6, n, p) == fib_power_sum_oracle(n, 4 * p + 1, "+")
+    assert closed_form_rhs(F.T7, n, p, "printed") == fib_power_sum_oracle(
+        n, 4 * p + 3, "+"
+    )
+
+
+def test_lucas_weighted_sum_matches_lucas_calls():
+    for kind in ("Q", "S"):
+        for n in (0, 1, 2, 9, 40):
+            row = coeff_row(kind, n)
+            for e in (0, 1, 2, 3, 4, 7, 10, 13):
+                for j_hi in (n - 1, n, n + 1):
+                    want = row[0] + sum(
+                        row[j] * lucas(e * j) for j in range(1, min(j_hi, n) + 1)
+                    )
+                    assert _lucas_weighted_sum(row, e, j_hi) == want, (kind, n, e, j_hi)
+    assert _lucas_weighted_sum((), 5, 3) == 0
 
 
 def test_t6_p0_is_even_fib():

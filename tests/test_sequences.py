@@ -6,6 +6,7 @@ from fibaudit.sequences import (
     RecurrenceMismatch,
     binomial,
     build_coeff_table,
+    coeff_row,
     fib,
     fib_naive,
     lucas,
@@ -82,6 +83,28 @@ def test_s_recurrences_match_definition(n):
         )
     # c = 0 rule, with the sign on the s(n,1) term corrected
     assert s_coeff(n + 1, 0) == -s_coeff(n, 1) - s_coeff(n, 0) + (-1) ** (n + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 20, 63, 64, 129, 200])
+def test_coeff_row_matches_definition(n):
+    assert coeff_row("Q", n) == tuple(q_coeff(n, c) for c in range(n + 1))
+    assert coeff_row("S", n) == tuple(s_coeff(n, c) for c in range(n + 1))
+
+
+def test_coeff_row_bad_args():
+    with pytest.raises(ValueError):
+        coeff_row("X", 3)
+    with pytest.raises(ValueError):
+        coeff_row("Q", -1)
+
+
+def test_bounded_q_coeff_matches_full_sum():
+    # The defining sum runs over every m in 0..n; q_coeff stops at the
+    # last non-zero binomial.
+    for n in range(41):
+        for c in range(n + 3):
+            full = sum((-1) ** m * binomial(n + 1, 2 * m + c + 1) for m in range(n + 1))
+            assert q_coeff(n, c) == full, (n, c)
 
 
 def test_build_coeff_table_q():
