@@ -51,7 +51,6 @@ class RunConfig:
     p_max: int = 2
     output_format: str = "text"
     output_path: str | None = None
-    parallel: bool = False
     unsafe_no_caps: bool = False
 
 
@@ -113,10 +112,15 @@ def _random_seq(rng: random.Random, length: int) -> Seq:
     return Seq(tuple(rng.randint(-50, 50) for _ in range(length)))
 
 
-def _suite_round_trip(rng, n_max):
+# Each suite takes its effective bound `top` = min(--n-max, its cap in
+# _VERIFY_SUITES): the largest index n it checks, so sequences have
+# length at most top + 1.
+
+
+def _suite_round_trip(rng, top):
     checks = fails = 0
     for _ in range(50):
-        a = _random_seq(rng, rng.randint(1, max(1, min(n_max + 1, 64))))
+        a = _random_seq(rng, rng.randint(1, top + 1))
         checks += 2
         if inverse_transform(binomial_transform(a)) != a:
             fails += 1
@@ -125,9 +129,8 @@ def _suite_round_trip(rng, n_max):
     return checks, fails
 
 
-def _suite_lemma1(rng, n_max):
+def _suite_lemma1(rng, top):
     checks = fails = 0
-    top = min(n_max, 32)
     b = _random_seq(rng, top + 1)
     for n in range(top + 1):
         for m in range(n + 1):
@@ -144,9 +147,8 @@ def _suite_lemma1(rng, n_max):
     return checks, fails
 
 
-def _suite_lemma2(rng, n_max):
+def _suite_lemma2(rng, top):
     checks = fails = 0
-    top = min(n_max, 32)
     a = _random_seq(rng, top + 1)
     b = binomial_transform(a)
     for n in range(top + 1):
@@ -162,9 +164,9 @@ def _suite_lemma2(rng, n_max):
     return checks, fails
 
 
-def _suite_lemma3(rng, n_max):
+def _suite_lemma3(rng, top):
     checks = fails = 0
-    for n in range(1, min(n_max, 30) + 1):
+    for n in range(1, top + 1):
         for m in range(1, n + 1):
             checks += 1
             if lemma3_sum(n, m) != Fraction((-1) ** m, m):
@@ -172,10 +174,10 @@ def _suite_lemma3(rng, n_max):
     return checks, fails
 
 
-def _suite_theorem1(rng, n_max):
+def _suite_theorem1(rng, top):
     checks = fails = 0
     for _ in range(25):
-        length = rng.randint(1, max(1, min(n_max + 1, 16)))
+        length = rng.randint(1, top + 1)
         a = _random_seq(rng, length)
         c = _random_seq(rng, length)
         lhs, rhs8, rhs81 = theorem1_eval(a, c)
@@ -188,10 +190,10 @@ def _suite_theorem1(rng, n_max):
 _COROLLARY_XS = (0, 1, -1, Fraction(1, 2), 2, PHI, PSI)
 
 
-def _suite_corollary1(rng, n_max):
+def _suite_corollary1(rng, top):
     checks = fails = 0
     for _ in range(15):
-        e = _random_seq(rng, rng.randint(1, max(1, min(n_max + 1, 13))))
+        e = _random_seq(rng, rng.randint(1, top + 1))
         for x in _COROLLARY_XS:
             lhs, rhs = corollary1_eval(e, x)
             checks += 1
@@ -200,10 +202,10 @@ def _suite_corollary1(rng, n_max):
     return checks, fails
 
 
-def _suite_corollary2(rng, n_max):
+def _suite_corollary2(rng, top):
     checks = fails = 0
     for _ in range(15):
-        a = _random_seq(rng, rng.randint(1, max(1, min(n_max + 1, 13))))
+        a = _random_seq(rng, rng.randint(1, top + 1))
         for x in _COROLLARY_XS:
             lhs, rhs = corollary2_eval(a, x)
             checks += 1
@@ -212,9 +214,8 @@ def _suite_corollary2(rng, n_max):
     return checks, fails
 
 
-def _suite_gould(rng, n_max):
+def _suite_gould(rng, top):
     checks = fails = 0
-    top = min(n_max, 20)
     for n in range(top + 1):
         for m in range(n + 1):
             for l in range(n + 1):
@@ -237,15 +238,16 @@ def _suite_gould(rng, n_max):
     return checks, fails
 
 
+# (name, suite, cap on the suite's n)
 _VERIFY_SUITES = (
-    ("round_trip", _suite_round_trip),
-    ("lemma1", _suite_lemma1),
-    ("lemma2", _suite_lemma2),
-    ("lemma3", _suite_lemma3),
-    ("theorem1", _suite_theorem1),
-    ("corollary1", _suite_corollary1),
-    ("corollary2", _suite_corollary2),
-    ("gould", _suite_gould),
+    ("round_trip", _suite_round_trip, 63),
+    ("lemma1", _suite_lemma1, 32),
+    ("lemma2", _suite_lemma2, 32),
+    ("lemma3", _suite_lemma3, 30),
+    ("theorem1", _suite_theorem1, 15),
+    ("corollary1", _suite_corollary1, 12),
+    ("corollary2", _suite_corollary2, 12),
+    ("gould", _suite_gould, 20),
 )
 
 
@@ -256,12 +258,19 @@ def cmd_verify(config: RunConfig) -> int:
         return 2
     rng = random.Random(20240501)
     lines = []
+    bounds = []
     any_fail = False
-    for name, suite in _VERIFY_SUITES:
-        checks, fails = suite(rng, config.n_max)
+    for name, suite, cap in _VERIFY_SUITES:
+        top = min(config.n_max, cap)
+        checks, fails = suite(rng, top)
         status = "PASS" if fails == 0 else "FAIL"
         any_fail = any_fail or fails > 0
         lines.append(f"{status} {name} ({checks} checks, {fails} failures)")
+        bounds.append(f"{name}={top}")
+    print(
+        f"verify: n bounds for --n-max {config.n_max}: " + " ".join(bounds),
+        file=sys.stderr,
+    )
     rc = _emit(config, "\n".join(lines) + "\n")
     if rc:
         return rc
@@ -282,12 +291,7 @@ def cmd_audit(config: RunConfig) -> int:
     if not families:
         print(f"error: unknown family in {config.families}", file=sys.stderr)
         return 2
-    report = audit(
-        families,
-        range(config.n_max + 1),
-        range(config.p_max + 1),
-        parallel=config.parallel,
-    )
+    report = audit(families, range(config.n_max + 1), range(config.p_max + 1))
     if config.output_format == "json":
         payload = report.to_json() + "\n"
     elif config.output_format == "csv":
@@ -456,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--p-max", type=int, default=2)
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", default=None, metavar="PATH")
-    common.add_argument("--parallel", action="store_true")
     common.add_argument("--unsafe-no-caps", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -488,7 +491,6 @@ def main(argv: list[str] | None = None) -> int:
         p_max=args.p_max,
         output_format=args.format,
         output_path=args.out,
-        parallel=args.parallel,
         unsafe_no_caps=args.unsafe_no_caps,
     )
     try:

@@ -634,18 +634,12 @@ def audit_cells(families, n_range, p_range) -> list[tuple]:
     return cells
 
 
-def audit(families, n_range, p_range, parallel: bool = False) -> AuditReport:
+def audit(families, n_range, p_range) -> AuditReport:
     """Run every applicable (family, n, p, reading) cell and collect
     verdicts.  The report is deterministic: cells are evaluated over the
-    canonical (family, p, n, reading) ordering regardless of schedule."""
+    canonical (family, p, n, reading) ordering."""
     cells = audit_cells(families, n_range, p_range)
-    if parallel and len(cells) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            entries = list(pool.map(_audit_cell_star, cells, chunksize=8))
-    else:
-        entries = [_audit_cell(*cell) for cell in cells]
+    entries = [_audit_cell(*cell) for cell in cells]
     entries.sort(
         key=lambda e: (
             _FAMILY_ORDER[IdentityFamily(e.family)],
@@ -660,7 +654,3 @@ def audit(families, n_range, p_range, parallel: bool = False) -> AuditReport:
         if f in _ADJUDICATION_NOTES
     )
     return AuditReport(entries=tuple(entries), notes=notes)
-
-
-def _audit_cell_star(cell):
-    return _audit_cell(*cell)

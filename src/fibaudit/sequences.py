@@ -151,19 +151,14 @@ def build_coeff_table(kind: str, n_max: int) -> CoeffTable:
     rows: list[tuple[int, ...]] = [(direct(0, 0),)]
     for n in range(n_max):
         prev = rows[n]
-
-        def prev_at(c: int) -> int:
-            return prev[c] if c <= n else direct(n, c)
-
-        row: list[int] = []
+        # x(n,1) lies outside row n only at n = 0; take it from the definition.
+        at1 = prev[1] if n else direct(0, 1)
         if kind == "Q":
-            row.append(1 - prev_at(1) + prev_at(0))
-            for c in range(1, n + 1):
-                row.append(prev_at(c - 1) + prev_at(c))
+            row = [1 - at1 + prev[0]]
+            row += [x + y for x, y in zip(prev, prev[1:])]  # c = 1..n
         else:
-            row.append(-prev_at(1) - prev_at(0) + (-1) ** (n + 1))
-            for c in range(1, n):
-                row.append(prev_at(c - 1) - prev_at(c))
+            row = [-at1 - prev[0] + (-1) ** (n + 1)]
+            row += [x - y for x, y in zip(prev, prev[1:n])]  # c = 1..n-1
             if n >= 1:
                 row.append(direct(n + 1, n))
         row.append(direct(n + 1, n + 1))

@@ -19,6 +19,26 @@ def test_verify_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_verify_reports_clamped_bounds(capsys):
+    rc, out, err = run(capsys, "verify", "--n-max", "4096")
+    assert rc == 0
+    # The report is the one every --n-max >= 63 gives.
+    assert out == (
+        "PASS round_trip (100 checks, 0 failures)\n"
+        "PASS lemma1 (1122 checks, 0 failures)\n"
+        "PASS lemma2 (1122 checks, 0 failures)\n"
+        "PASS lemma3 (465 checks, 0 failures)\n"
+        "PASS theorem1 (25 checks, 0 failures)\n"
+        "PASS corollary1 (105 checks, 0 failures)\n"
+        "PASS corollary2 (105 checks, 0 failures)\n"
+        "PASS gould (3521 checks, 0 failures)\n"
+    )
+    assert err == (
+        "verify: n bounds for --n-max 4096: round_trip=63 lemma1=32 lemma2=32 "
+        "lemma3=30 theorem1=15 corollary1=12 corollary2=12 gould=20\n"
+    )
+
+
 def test_verify_degenerate_n0(capsys):
     rc, out, _ = run(capsys, "verify", "--n-max", "0")
     assert rc == 0

@@ -266,13 +266,6 @@ def test_audit_fail_entries_carry_values():
         assert e.note != ""
 
 
-def test_audit_parallel_matches_serial():
-    families = [F.T2, F.T6]
-    serial = audit(families, range(6), range(2))
-    parallel = audit(families, range(6), range(2), parallel=True)
-    assert serial.to_json() == parallel.to_json()
-
-
 def test_audit_cells_cover_readings():
     cells = audit_cells([F.T4_ODD], range(2), range(1, 2))
     readings = {c[3] for c in cells}

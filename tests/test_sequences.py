@@ -125,6 +125,10 @@ def test_build_coeff_table_matches_definition():
         for n in range(31):
             for c in range(n + 1):
                 assert table[n, c] == direct(n, c), (kind, n, c)
+        # Past the build-time cross-check, against the O(n) row function.
+        table = build_coeff_table(kind, 200)
+        for n in range(201):
+            assert table.rows[n] == coeff_row(kind, n), (kind, n)
 
 
 def test_build_coeff_table_bad_args():

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from fibaudit.ring import PHI, PSI
+from fibaudit.ring import PHI, PSI, GoldenInt
+from fibaudit.sequences import binomial
 from fibaudit.transforms import (
     DomainError,
     LengthMismatch,
@@ -25,6 +28,33 @@ int_seqs = st.lists(st.integers(-100, 100), min_size=1, max_size=32).map(
 FIB4 = Seq((0, 1, 1, 2))
 
 
+def binomial_transform_def(a):
+    """Reference definition: b_n = sum_k C(n,k) a_k."""
+    return Seq(tuple(
+        sum(binomial(n, k) * a[k] for k in range(n + 1)) for n in range(len(a))
+    ))
+
+
+def inverse_transform_def(b):
+    """Reference definition: a_n = sum_k (-1)^(n-k) C(n,k) b_k."""
+    return Seq(tuple(
+        sum((-1) ** (n - k) * binomial(n, k) * b[k] for k in range(n + 1))
+        for n in range(len(b))
+    ))
+
+
+def _golden(rng):
+    u, w = rng.randint(-20, 20), rng.randint(-20, 20)
+    return GoldenInt(u, u + 2 * w)  # (u + v*sqrt5)/2 needs u = v (mod 2)
+
+
+SCALAR_MAKERS = {
+    "int": lambda rng: rng.randint(-50, 50),
+    "Fraction": lambda rng: Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
+    "GoldenInt": _golden,
+}
+
+
 def test_seq_non_empty():
     with pytest.raises(ValueError):
         Seq(())
@@ -43,6 +73,28 @@ def test_inverse_transform_examples():
     assert inverse_transform(Seq((1, 1, 1, 1))) == Seq((1, 0, 0, 0))
     zeros = Seq((0, 0, 0))
     assert inverse_transform(zeros) == zeros
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_MAKERS))
+def test_transforms_match_definition_all_scalars(kind):
+    rng = random.Random(kind)
+    for length in range(1, 41):  # from length 1, where both return the input
+        a = Seq(tuple(SCALAR_MAKERS[kind](rng) for _ in range(length)))
+        assert binomial_transform(a) == binomial_transform_def(a), (kind, length)
+        assert inverse_transform(a) == inverse_transform_def(a), (kind, length)
+
+
+def test_transforms_match_definition_length_513():
+    rng = random.Random(513)
+    a = Seq(tuple(rng.randint(-50, 50) for _ in range(513)))
+    assert binomial_transform(a) == binomial_transform_def(a)
+    assert inverse_transform(a) == inverse_transform_def(a)
+
+
+@given(int_seqs)
+def test_transforms_match_definition(a):
+    assert binomial_transform(a) == binomial_transform_def(a)
+    assert inverse_transform(a) == inverse_transform_def(a)
 
 
 @given(int_seqs)
