@@ -13,6 +13,7 @@ import json
 import random
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,16 +91,29 @@ def _parse_families(tokens: list[str]) -> list[IdentityFamily] | None:
     return out
 
 
-def _emit(config: RunConfig, payload: str) -> int:
-    if config.output_path:
-        try:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
-            return 4
-    else:
-        sys.stdout.write(payload)
+def _emit(out, payload: str) -> None:
+    # Every report byte passes through here, one str at a time;
+    # perfbench/spans.py wraps this function by name to count them.
+    out.write(payload)
+
+
+def _write_report(config: RunConfig, chunks: Iterable[str]) -> int:
+    """Write the report's chunks, in order, to --out or standard output.
+
+    Each chunk is written as soon as it is made, so a report produced row
+    by row is never held whole in memory.
+    """
+    if not config.output_path:
+        for chunk in chunks:
+            _emit(sys.stdout, chunk)
+        return 0
+    try:
+        with open(config.output_path, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                _emit(fh, chunk)
+    except OSError as exc:
+        print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -271,7 +285,7 @@ def cmd_verify(config: RunConfig) -> int:
         f"verify: n bounds for --n-max {config.n_max}: " + " ".join(bounds),
         file=sys.stderr,
     )
-    rc = _emit(config, "\n".join(lines) + "\n")
+    rc = _write_report(config, ["\n".join(lines) + "\n"])
     if rc:
         return rc
     return 1 if any_fail else 0
@@ -298,7 +312,7 @@ def cmd_audit(config: RunConfig) -> int:
         payload = report.to_csv()
     else:
         payload = report.to_text()
-    rc = _emit(config, payload)
+    rc = _write_report(config, [payload])
     if rc:
         return rc
     n_fail = sum(1 for e in report.entries if e.verdict == "FAIL")
@@ -314,32 +328,78 @@ def cmd_audit(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _s_row_texts(s_row, q_row, q_texts: list[str]) -> list[str]:
+    """Decimal strings of an s row, taken from the q row's strings.
+
+    |s(n,c)| = q(n,c), so each entry is its q string or that string
+    negated; an entry that is neither falls back to str(s).  Every result
+    equals str(s) by construction.
+    """
+    texts = []
+    for s, q, t in zip(s_row, q_row, q_texts):
+        if s == q:
+            texts.append(t)
+        elif s == -q:
+            texts.append(t[1:] if t[0] == "-" else "-" + t)
+        else:
+            texts.append(str(s))
+    return texts
+
+
+def _text_row(kind: str, n: int, texts: list[str]) -> str:
+    return f"{kind}[{n}]: " + " ".join(texts) + "\n"
+
+
+def _csv_row(kind: str, n: int, texts: list[str]) -> str:
+    head = f"{kind}\n" if n == 0 else ""
+    return head + '"' + '","'.join(texts) + '"\n'
+
+
+def _json_row(kind: str, n: int, texts: list[str]) -> str:
+    # The layout of json.dumps({"Q": rows, "S": rows}, indent=2), written
+    # row by row; no row and no table is empty.
+    if n:
+        head = ",\n"
+    elif kind == "Q":
+        head = '{\n  "Q": [\n'
+    else:
+        head = '\n  ],\n  "S": [\n'
+    return head + "    [\n      " + ",\n      ".join(texts) + "\n    ]"
+
+
+# format -> (one row's chunk, closing chunk)
+_TABLE_FORMATS = {
+    "text": (_text_row, ""),
+    "csv": (_csv_row, ""),
+    "json": (_json_row, "\n  ]\n}\n"),
+}
+
+
+def _tables_report(output_format: str, q_table, s_table) -> Iterator[str]:
+    """The tables report, one chunk per row: every Q row, then every S row,
+    each rendered from one list of decimal strings."""
+    row_chunk, closing = _TABLE_FORMATS[output_format]
+    q_texts = []
+    for n, row in enumerate(q_table.rows):
+        texts = list(map(str, row))
+        q_texts.append(texts)
+        yield row_chunk("Q", n, texts)
+    for n, s_row in enumerate(s_table.rows):
+        yield row_chunk("S", n, _s_row_texts(s_row, q_table.rows[n], q_texts[n]))
+    if closing:
+        yield closing
+
+
 def cmd_tables(config: RunConfig) -> int:
     error = _validate(config)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    tables = {kind: build_coeff_table(kind, config.n_max) for kind in ("Q", "S")}
-    if config.output_format == "json":
-        payload = (
-            json.dumps({k: [list(r) for r in t.rows] for k, t in tables.items()},
-                       indent=2)
-            + "\n"
-        )
-    elif config.output_format == "csv":
-        out = []
-        for kind, table in tables.items():
-            out.append(kind)
-            for row in table.rows:
-                out.append(",".join(f'"{v}"' for v in row))
-        payload = "\n".join(out) + "\n"
-    else:
-        out = []
-        for kind, table in tables.items():
-            for n, row in enumerate(table.rows):
-                out.append(f"{kind}[{n}]: " + " ".join(str(v) for v in row))
-        payload = "\n".join(out) + "\n"
-    return _emit(config, payload)
+    q_table = build_coeff_table("Q", config.n_max)
+    s_table = build_coeff_table("S", config.n_max)
+    return _write_report(
+        config, _tables_report(config.output_format, q_table, s_table)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +494,7 @@ def cmd_bench(config: RunConfig) -> int:
             for r in rows
         ]
         payload = "\n".join(lines) + "\n"
-    rc = _emit(config, payload)
+    rc = _write_report(config, [payload])
     if rc:
         return rc
     return 1 if any_mismatch else 0

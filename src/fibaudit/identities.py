@@ -563,8 +563,16 @@ _ADJUDICATION_NOTES = {
 }
 
 
-def _audit_cell(family: IdentityFamily, n: int | None, p: int | None, reading: str) -> AuditEntry:
-    """Evaluate one grid cell; failures are data, not exceptions."""
+def _audit_cell(
+    family: IdentityFamily, n: int | None, p: int | None, reading: str,
+    oracle_values: dict,
+) -> AuditEntry:
+    """Evaluate one grid cell; failures are data, not exceptions.
+
+    `oracle_values` holds the oracle's left side of the last (family, n, p)
+    evaluated.  The readings of one (family, n, p) are adjacent cells, so
+    they share a single oracle evaluation and at most one value is kept.
+    """
     note = ""
     if family.value.startswith("REMARK1_"):
         index = int(family.value.split("_")[1])
@@ -582,8 +590,12 @@ def _audit_cell(family: IdentityFamily, n: int | None, p: int | None, reading: s
         shift = 1 if family is IdentityFamily.LEMMA5 else -1
         lhs, rhs = cross_power_expansion(n, PHI, shift)
     else:
-        power, sign = FAMILY_POWER_SIGN[family]
-        lhs = fib_power_sum_oracle(n, power(p), sign)
+        key = (family, n, p)
+        if key not in oracle_values:
+            power, sign = FAMILY_POWER_SIGN[family]
+            oracle_values.clear()
+            oracle_values[key] = fib_power_sum_oracle(n, power(p), sign)
+        lhs = oracle_values[key]
         try:
             rhs = closed_form_rhs(family, n, p, reading)
         except NotIntegral as exc:
@@ -639,7 +651,8 @@ def audit(families, n_range, p_range) -> AuditReport:
     verdicts.  The report is deterministic: cells are evaluated over the
     canonical (family, p, n, reading) ordering."""
     cells = audit_cells(families, n_range, p_range)
-    entries = [_audit_cell(*cell) for cell in cells]
+    oracle_values: dict = {}
+    entries = [_audit_cell(*cell, oracle_values) for cell in cells]
     entries.sort(
         key=lambda e: (
             _FAMILY_ORDER[IdentityFamily(e.family)],

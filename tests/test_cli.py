@@ -2,7 +2,12 @@ import csv
 import io
 import json
 
+import pytest
+
+from fibaudit import cli
 from fibaudit.cli import main
+from fibaudit.identities import IdentityFamily
+from fibaudit.sequences import build_coeff_table
 
 
 def run(capsys, *argv):
@@ -146,6 +151,88 @@ def test_tables_json(capsys):
     data = json.loads(out)
     assert data["Q"] == [[1], [2, 1]]
     assert data["S"] == [[1], [-2, 1]]
+
+
+def _tables_reference(n_max, output_format):
+    """The tables report built whole, by the straightforward formatting."""
+    tables = {kind: build_coeff_table(kind, n_max) for kind in ("Q", "S")}
+    if output_format == "json":
+        return json.dumps(
+            {k: [list(r) for r in t.rows] for k, t in tables.items()}, indent=2
+        ) + "\n"
+    out = []
+    for kind, table in tables.items():
+        if output_format == "csv":
+            out.append(kind)
+            for row in table.rows:
+                out.append(",".join(f'"{v}"' for v in row))
+        else:
+            for n, row in enumerate(table.rows):
+                out.append(f"{kind}[{n}]: " + " ".join(str(v) for v in row))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("output_format", ["text", "csv", "json"])
+def test_tables_match_reference_formatting(capsys, output_format):
+    for n_max in range(41):
+        rc, out, _ = run(
+            capsys, "tables", "--n-max", str(n_max), "--format", output_format
+        )
+        assert rc == 0
+        assert out == _tables_reference(n_max, output_format), n_max
+
+
+def test_s_row_texts_falls_back_to_str():
+    q_row = (-7, 5, 12, 0, 3)
+    s_row = (-7, -5, 13, 0, -3)  # equal, negated, neither, zero, negated
+    q_texts = list(map(str, q_row))
+    texts = cli._s_row_texts(s_row, q_row, q_texts)
+    assert texts == ["-7", "-5", "13", "0", "-3"]
+    assert texts == [str(s) for s in s_row]
+    assert cli._s_row_texts((7,), (-7,), ["-7"]) == ["7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n-max", "12"),
+        ("audit", "--families", "T2,T6", "--n-max", "5", "--p-max", "1"),
+        *[("tables", "--n-max", "6", "--format", f) for f in ("text", "csv", "json")],
+    ],
+)
+def test_emit_writes_str_payloads_that_sum_to_the_report(capsys, monkeypatch, argv):
+    payloads = []
+    real_emit = cli._emit
+
+    def recording_emit(out, payload):
+        payloads.append(payload)
+        real_emit(out, payload)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    rc, out, _ = run(capsys, *argv)
+    assert rc in (0, 3)
+    assert payloads
+    assert all(type(p) is str for p in payloads)
+    assert sum(len(p) for p in payloads) == len(out)
+    assert "".join(payloads) == out
+
+
+@pytest.mark.parametrize("n_max,p_max", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_audit_all_at_the_smallest_bounds(capsys, n_max, p_max):
+    rc, out, err = run(
+        capsys, "audit", "--families", "all", "--n-max", str(n_max),
+        "--p-max", str(p_max), "--format", "json",
+    )
+    assert rc == 3  # T3's even branch fails at n = 0
+    assert "error:" not in err
+    entries = json.loads(out)
+    assert {e["verdict"] for e in entries} == {"PASS", "FAIL"}
+    if (n_max, p_max) == (0, 1):
+        with_n0 = {e["family"] for e in entries if e["n"] == 0}
+        assert with_n0 == {
+            f.value for f in IdentityFamily
+            if not f.value.startswith("REMARK1_") and f is not IdentityFamily.T4_ODD
+        }
 
 
 def test_bench_floor(capsys):

@@ -1,6 +1,8 @@
 import pytest
 from fractions import Fraction
 
+from fibaudit import identities
+
 from fibaudit.identities import (
     FAMILY_READINGS,
     _lucas_weighted_sum,
@@ -264,6 +266,26 @@ def test_audit_fail_entries_carry_values():
     for e in fails:
         assert e.lhs != "" and e.rhs != ""
         assert e.note != ""
+
+
+def test_audit_calls_the_oracle_once_per_family_n_p(monkeypatch):
+    calls = []
+    real_oracle = identities.fib_power_sum_oracle
+
+    def counting_oracle(n, p, sign="+"):
+        calls.append((n, p, sign))
+        return real_oracle(n, p, sign)
+
+    families = [F.T2, F.T3, F.T4_EVEN, F.T4_ODD, F.T5, F.T6, F.T7]
+    expected = audit(families, range(9), range(3))
+    monkeypatch.setattr(identities, "fib_power_sum_oracle", counting_oracle)
+    report = audit(families, range(9), range(3))
+    assert report == expected
+    distinct = {(c[0], c[1], c[2]) for c in audit_cells(families, range(9), range(3))}
+    assert len(calls) == len(distinct)
+    # T4_EVEN and T4_ODD share (power, sign) but split n by parity, so the
+    # oracle's own arguments are distinct too.
+    assert len(set(calls)) == len(calls)
 
 
 def test_audit_cells_cover_readings():
