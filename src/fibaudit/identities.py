@@ -124,12 +124,6 @@ def fib_power_sum_binet(n: int, p: int, sign: str = "+") -> int:
 # ---------------------------------------------------------------------------
 
 
-def _as_golden(x) -> GoldenInt:
-    if isinstance(x, GoldenInt):
-        return x
-    return GoldenInt(2 * x, 0)
-
-
 def remark1_relation(p: int, index: int) -> tuple[GoldenInt, GoldenInt]:
     """Both sides of the indexed power relation (index 1..12), exactly."""
     if p < 1:
@@ -152,7 +146,7 @@ def remark1_relation(p: int, index: int) -> tuple[GoldenInt, GoldenInt]:
     if index not in relations:
         raise ValueError(f"relation index must be 1..12, got {index}")
     lhs, rhs = relations[index]()
-    return _as_golden(lhs), _as_golden(rhs)
+    return GoldenInt._coerce(lhs), GoldenInt._coerce(rhs)
 
 
 def _weighted_fib_sum(n: int, w: GoldenInt) -> GoldenInt:
@@ -190,7 +184,7 @@ def prop1_eval(n: int, p: int, variant: int) -> tuple[GoldenInt, GoldenInt]:
         num = (unit_pow(y, p - 1) + 1) ** n - (-1) ** n * (unit_pow(y, p + 1) - 1) ** n
     else:
         raise ValueError(f"variant must be one of 811, 812, 813, 814, got {variant}")
-    return _weighted_fib_sum(n, w), div_sqrt5(_as_golden(num))
+    return _weighted_fib_sum(n, w), div_sqrt5(GoldenInt._coerce(num))
 
 
 # ---------------------------------------------------------------------------
@@ -198,51 +192,27 @@ def prop1_eval(n: int, p: int, variant: int) -> tuple[GoldenInt, GoldenInt]:
 # ---------------------------------------------------------------------------
 
 
-class _Q5:
-    """a + b*sqrt5 with exact rational coordinates; internal scratch type
-    for closed-form prefactors like (1/sqrt5)^odd."""
+def _reduce(total: int, sqrt5_exp: int, five_exp: int):
+    """sqrt5^sqrt5_exp * total / 5^five_exp as an ExactScalar.
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0) -> None:
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __add__(self, other: "_Q5") -> "_Q5":
-        return _Q5(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other) -> "_Q5":
-        if isinstance(other, _Q5):
-            return _Q5(
-                self.a * other.a + 5 * self.b * other.b,
-                self.a * other.b + self.b * other.a,
-            )
-        return _Q5(self.a * other, self.b * other)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}*sqrt5"
-
-
-def _sqrt5_to_the(n: int) -> _Q5:
-    """sqrt5^n as a _Q5."""
-    if n % 2 == 0:
-        return _Q5(5 ** (n // 2))
-    return _Q5(0, 5 ** ((n - 1) // 2))
-
-
-def _classify(value: _Q5):
-    """Reduce a Q(sqrt5) value to an ExactScalar, raising NotIntegral for
-    values outside both the rationals and the ring."""
-    if value.b == 0:
-        if value.a.denominator == 1:
-            return value.a.numerator
-        return value.a
-    u, v = 2 * value.a, 2 * value.b
-    if u.denominator == 1 and v.denominator == 1 and (u.numerator - v.numerator) % 2 == 0:
-        return GoldenInt(u.numerator, v.numerator)
-    raise NotIntegral(str(value))
+    An even power of sqrt5 gives a rational: an int when integral, else a
+    Fraction.  An odd one gives b*sqrt5: the int 0 when b = 0, the ring
+    element GoldenInt(0, 2b) when b is an integer, and otherwise
+    NotIntegral with the exact value, "0+b*sqrt5" with b as num/den.
+    """
+    half, odd = divmod(sqrt5_exp, 2)
+    shift = half - five_exp
+    if shift >= 0:
+        b = total * 5**shift
+    elif total % 5**-shift:
+        b = Fraction(total, 5**-shift)
+    else:
+        b = total // 5**-shift
+    if not odd or total == 0:
+        return b
+    if type(b) is int:
+        return GoldenInt(0, 2 * b)
+    raise NotIntegral(f"0{'+' if b > 0 else ''}{b}*sqrt5")
 
 
 #: Sub-variant readings audited per family (first entry is the literal one).
@@ -310,32 +280,30 @@ def closed_form_rhs(
             eps = (-1) ** i if n % 2 == 0 else 1
             j = 2 * p - i
             total += eps * binomial(4 * p, i) * lucas(j) ** n * lucas(j * n)
-        return _classify(_Q5(Fraction(total, 5 ** (2 * p))))
+        return _reduce(total, 0, 2 * p)
 
     if family is IdentityFamily.T3:
-        acc = _Q5(0)
+        total = 0
         for i in range(2 * p + 2):
             eps = (-1) ** i if n % 2 == 0 else 1
             j = 2 * p + 1 - i
-            term = eps * binomial(4 * p + 2, i) * fib(abs(j)) ** n * lucas(abs(j) * n)
-            acc = acc + _sqrt5_to_the(n) * term
-        return _classify(acc * Fraction(1, 5 ** (2 * p + 1)))
+            total += eps * binomial(4 * p + 2, i) * fib(abs(j)) ** n * lucas(abs(j) * n)
+        return _reduce(total, n, 2 * p + 1)
 
     if family in (IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD):
         even = family is IdentityFamily.T4_EVEN
-        acc = _Q5(0)
+        total = 0
         for i in range(2 * p + 1):
             j = 2 * p - i
             f_base = fib(j * n) if reading == "printed" else fib(j)
             if even:
-                term = (-1) ** i * binomial(4 * p, i) * lucas(j * n) * f_base**n
+                total += (-1) ** i * binomial(4 * p, i) * lucas(j * n) * f_base**n
             else:
-                term = (-1) ** i * binomial(4 * p, i) * fib(j * n) * f_base**n
-            acc = acc + _sqrt5_to_the(n) * term
+                total += (-1) ** i * binomial(4 * p, i) * fib(j * n) * f_base**n
         if even:
-            return _classify(acc * Fraction(1, 5 ** (2 * p)))
+            return _reduce(total, n, 2 * p)
         # (1/sqrt5)^(4p-1) = sqrt5 / 5^(2p)
-        return _classify(acc * _Q5(0, Fraction(1, 5 ** (2 * p))))
+        return _reduce(total, n + 1, 2 * p)
 
     if family is IdentityFamily.T5:
         total = binomial(4 * p + 2, 2 * p + 1) * 2**n
@@ -343,10 +311,7 @@ def closed_form_rhs(
             eps = (-1) ** i if n % 2 == 0 else 1
             j = 2 * p + 1 - i
             total += eps * binomial(4 * p + 2, i) * lucas(j) ** n * lucas(j * n)
-        outer = Fraction(total, 5 ** (2 * p + 1))
-        if n % 2 == 1:
-            outer = -outer
-        return _classify(_Q5(outer))
+        return _reduce(-total if n % 2 else total, 0, 2 * p + 1)
 
     if family is IdentityFamily.T6:
         t_hi = p - 1 if reading == "printed" else p
@@ -362,7 +327,7 @@ def closed_form_rhs(
             inner = _lucas_weighted_sum(s_row, e, n - 1)
             part2 += binomial(4 * p + 1, 2 * t + 1) * fib(e) * inner
         total = part1 - (-1) ** n * part2 + binomial(4 * p + 1, 2 * p) * fib(2 * n)
-        return _classify(_Q5(Fraction(total, 5 ** (2 * p))))
+        return _reduce(total, 0, 2 * p)
 
     if family is IdentityFamily.T7:
         t_hi = p if reading != "t-to-p-1" else p - 1
@@ -379,7 +344,7 @@ def closed_form_rhs(
             inner = _lucas_weighted_sum(s_row, e, n - 1)
             part2 += binomial(4 * p + 3, 2 * t + 1) * fib(e) * inner
         total = part1 - (-1) ** n * part2 + binomial(4 * p + 3, 2 * p + 1) * fib(n)
-        return _classify(_Q5(Fraction(total, 5 ** (2 * p + 1))))
+        return _reduce(total, 0, 2 * p + 1)
 
     raise ValueError(f"{family.value} has no closed-form evaluator")
 
@@ -483,7 +448,23 @@ class AuditReport:
         return all(e.verdict == "PASS" for e in self.entries)
 
     def to_json(self) -> str:
-        return json.dumps([e.as_dict() for e in self.entries], indent=2)
+        # The layout of json.dumps([e.as_dict() ...], indent=2), written
+        # entry by entry; strings go through json.dumps, which escapes them
+        # in C.
+        if not self.entries:
+            return "[]"
+        dumps = json.dumps
+        return "[\n" + ",\n".join(
+            f'  {{\n    "family": {dumps(e.family)},\n'
+            f'    "n": {"null" if e.n is None else e.n},\n'
+            f'    "p": {"null" if e.p is None else e.p},\n'
+            f'    "reading": {dumps(e.reading)},\n'
+            f'    "lhs": {dumps(e.lhs)},\n'
+            f'    "rhs": {dumps(e.rhs)},\n'
+            f'    "verdict": {dumps(e.verdict)},\n'
+            f'    "note": {dumps(e.note)}\n  }}'
+            for e in self.entries
+        ) + "\n]"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -570,10 +551,12 @@ def _audit_cell(
     """Evaluate one grid cell; failures are data, not exceptions.
 
     `oracle_values` holds the oracle's left side of the last (family, n, p)
-    evaluated.  The readings of one (family, n, p) are adjacent cells, so
-    they share a single oracle evaluation and at most one value is kept.
+    evaluated, with its rendered text.  The readings of one (family, n, p)
+    are adjacent cells, so they share a single oracle evaluation and
+    rendering, and at most one value is kept.
     """
     note = ""
+    lhs_text = None
     if family.value.startswith("REMARK1_"):
         index = int(family.value.split("_")[1])
         lhs, rhs = remark1_relation(p, index)
@@ -594,20 +577,23 @@ def _audit_cell(
         if key not in oracle_values:
             power, sign = FAMILY_POWER_SIGN[family]
             oracle_values.clear()
-            oracle_values[key] = fib_power_sum_oracle(n, power(p), sign)
-        lhs = oracle_values[key]
+            value = fib_power_sum_oracle(n, power(p), sign)
+            oracle_values[key] = value, render_exact(value)
+        lhs, lhs_text = oracle_values[key]
         try:
             rhs = closed_form_rhs(family, n, p, reading)
         except NotIntegral as exc:
             return AuditEntry(
-                family.value, n, p, reading, render_exact(lhs), str(exc), "FAIL",
+                family.value, n, p, reading, lhs_text, str(exc), "FAIL",
                 "closed form is not a rational integer",
             )
+    if lhs_text is None:
+        lhs_text = render_exact(lhs)
     verdict = "PASS" if lhs == rhs else "FAIL"
     if verdict == "FAIL":
         note = "printed form disagrees with the brute-force oracle"
     return AuditEntry(
-        family.value, n, p, reading, render_exact(lhs), render_exact(rhs), verdict, note
+        family.value, n, p, reading, lhs_text, render_exact(rhs), verdict, note
     )
 
 

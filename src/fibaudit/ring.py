@@ -57,7 +57,7 @@ class GoldenInt:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GoldenInt else self._coerce(other)
         if o is None:
             return NotImplemented
         return GoldenInt(self.u + o.u, self.v + o.v)
@@ -65,7 +65,7 @@ class GoldenInt:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GoldenInt else self._coerce(other)
         if o is None:
             return NotImplemented
         return GoldenInt(self.u - o.u, self.v - o.v)
@@ -80,7 +80,11 @@ class GoldenInt:
         return GoldenInt(-self.u, -self.v)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        # A plain int scales both coordinates; bool, Fraction and other
+        # operands take the checked coercion.
+        if type(other) is int:
+            return GoldenInt(self.u * other, self.v * other)
+        o = other if type(other) is GoldenInt else self._coerce(other)
         if o is None:
             return NotImplemented
         # (u1+v1√5)(u2+v2√5)/4; the parity invariant makes both halves even.

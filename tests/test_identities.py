@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from fractions import Fraction
 
@@ -6,6 +9,9 @@ from fibaudit import identities
 from fibaudit.identities import (
     FAMILY_READINGS,
     _lucas_weighted_sum,
+    _reduce,
+    AuditEntry,
+    AuditReport,
     IdentityFamily,
     PreconditionError,
     audit,
@@ -270,15 +276,26 @@ def test_audit_fail_entries_carry_values():
 
 def test_audit_calls_the_oracle_once_per_family_n_p(monkeypatch):
     calls = []
+    oracle_renders = []
     real_oracle = identities.fib_power_sum_oracle
+    real_render = identities.render_exact
+
+    class OracleValue(int):
+        """Marks the oracle's results so their renderings can be counted."""
 
     def counting_oracle(n, p, sign="+"):
         calls.append((n, p, sign))
-        return real_oracle(n, p, sign)
+        return OracleValue(real_oracle(n, p, sign))
+
+    def counting_render(x):
+        if type(x) is OracleValue:
+            oracle_renders.append(int(x))
+        return real_render(x)
 
     families = [F.T2, F.T3, F.T4_EVEN, F.T4_ODD, F.T5, F.T6, F.T7]
     expected = audit(families, range(9), range(3))
     monkeypatch.setattr(identities, "fib_power_sum_oracle", counting_oracle)
+    monkeypatch.setattr(identities, "render_exact", counting_render)
     report = audit(families, range(9), range(3))
     assert report == expected
     distinct = {(c[0], c[1], c[2]) for c in audit_cells(families, range(9), range(3))}
@@ -286,6 +303,83 @@ def test_audit_calls_the_oracle_once_per_family_n_p(monkeypatch):
     # T4_EVEN and T4_ODD share (power, sign) but split n by parity, so the
     # oracle's own arguments are distinct too.
     assert len(set(calls)) == len(calls)
+    # Each oracle value is rendered once, for PASS/FAIL and NotIntegral
+    # rows alike (the grid has both).
+    assert len(oracle_renders) == len(distinct)
+    assert any(e.note == "closed form is not a rational integer" for e in report.entries)
+
+
+def _reduce_reference(total, sqrt5_exp, five_exp):
+    """The former evaluation: sqrt5^e * total / 5^k as a + b*sqrt5 with
+    Fraction coordinates, sorted into int, Fraction or GoldenInt, or
+    NotIntegral carrying the value as "a+b*sqrt5"."""
+    coeff = Fraction(total * 5 ** (sqrt5_exp // 2), 5**five_exp)
+    a, b = (Fraction(0), coeff) if sqrt5_exp % 2 else (coeff, Fraction(0))
+    if b == 0:
+        return a.numerator if a.denominator == 1 else a
+    u, v = 2 * a, 2 * b
+    if u.denominator == 1 and v.denominator == 1 and (u.numerator - v.numerator) % 2 == 0:
+        return GoldenInt(u.numerator, v.numerator)
+    raise NotIntegral(f"{a}{'+' if b >= 0 else ''}{b}*sqrt5")
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except NotIntegral as exc:
+        return "NotIntegral", str(exc)
+    return type(value), value
+
+
+def test_reduce_matches_fraction_reference():
+    totals = [0, 1, -1, 2, -3, 5, -10, 25, 125 * 7, -625 * 3, 3**50, -(5**30) * 7, 10**40 + 1]
+    for total in totals:
+        for sqrt5_exp in range(8):
+            for five_exp in range(7):
+                got = _outcome(_reduce, total, sqrt5_exp, five_exp)
+                want = _outcome(_reduce_reference, total, sqrt5_exp, five_exp)
+                assert got == want, (total, sqrt5_exp, five_exp)
+    assert _reduce(0, 3, 2) == 0 and type(_reduce(0, 3, 2)) is int
+    assert _outcome(_reduce, -3, 1, 2) == ("NotIntegral", "0-3/25*sqrt5")
+    assert _outcome(_reduce, 3, 3, 2) == ("NotIntegral", "0+3/5*sqrt5")
+
+
+def test_closed_form_grid_digest():
+    """Every family and reading, n <= 40, p <= 4: value type, rendering and
+    NotIntegral message, hashed.  The digest was taken from the Fraction
+    evaluation that `_reduce` replaced."""
+    lines = []
+    for family, readings in FAMILY_READINGS.items():
+        for reading in readings:
+            for n in range(41):
+                for p in range(5):
+                    head = f"{family.value} {reading} {n} {p}"
+                    try:
+                        value = closed_form_rhs(family, n, p, reading)
+                    except NotIntegral as exc:
+                        lines.append(f"{head} NotIntegral {exc}")
+                    else:
+                        lines.append(f"{head} {type(value).__name__} {render_exact(value)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "aaf4574c8329e4233b1373adc0ae558b95774a3b0140223d58a9adfab85950e6"
+
+
+def _json_reference(report):
+    return json.dumps([e.as_dict() for e in report.entries], indent=2)
+
+
+def test_audit_json_matches_json_dumps():
+    assert AuditReport(entries=()).to_json() == "[]" == _json_reference(AuditReport(entries=()))
+    report = audit(list(IdentityFamily), range(13), range(3))
+    assert {e.n is None for e in report.entries} == {True, False}
+    assert {e.p is None for e in report.entries} == {True, False}
+    assert report.to_json() == _json_reference(report)
+    odd = AuditEntry(
+        'F"1', None, None, "back\\slash", "line\nbreak", "\u00e9\u221a5", "FAIL", 'q"\\\n\u00e9'
+    )
+    hand = AuditReport(entries=(odd, report.entries[0]))
+    assert hand.to_json() == _json_reference(hand)
+    assert json.loads(hand.to_json())[0] == odd.as_dict()
 
 
 def test_audit_cells_cover_readings():

@@ -10,6 +10,7 @@ from fibaudit.ring import (
     PHI,
     PSI,
     SQRT5,
+    ZERO,
     conjugate,
     div_sqrt5,
     ring_mul,
@@ -26,10 +27,25 @@ golden = st.builds(
     st.integers(-10**6, 10**6),
 )
 
+# Plain int operands: 0, +-1, values past 64 bits, and a general range.
+ints = st.one_of(
+    st.sampled_from([0, 1, -1, 2**64 + 1, -(2**70) - 3]),
+    st.integers(-(2**80), 2**80),
+)
+
 
 def test_parity_invariant_enforced():
     with pytest.raises(ValueError):
         GoldenInt(1, 0)
+    # The check runs on every result, the int and GoldenInt fast paths too:
+    # an element built around __init__ with u, v of unequal parity leaks
+    # into no product or sum.
+    bad = object.__new__(GoldenInt)
+    bad.u, bad.v = 1, 0
+    for op in (lambda: bad * 3, lambda: 3 * bad, lambda: bad * SQRT5, lambda: bad + PHI,
+               lambda: bad - PHI):
+        with pytest.raises(ValueError):
+            op()
 
 
 def test_defining_relations():
@@ -106,10 +122,27 @@ def test_norm_is_rational_integer(a):
     assert n.u % 2 == 0
 
 
-@given(golden, golden)
-def test_parity_closure(a, b):
-    for z in (a + b, a - b, a * b, -a):
+@given(golden, golden, ints)
+def test_parity_closure(a, b, k):
+    for z in (a + b, a - b, a * b, -a, a * k, k * a, a + k, a - k, k - a, a * True):
+        assert type(z) is GoldenInt
         assert (z.u - z.v) % 2 == 0
+
+
+@given(golden, ints)
+def test_int_operands_match_ring_product(a, k):
+    assert a * k == k * a == a * GoldenInt(2 * k, 0)
+    assert conjugate(a * k) == conjugate(a) * k
+    assert a + k == k + a == a + GoldenInt(2 * k, 0)
+    assert a - k == -(k - a) == a - GoldenInt(2 * k, 0)
+    assert a * True == True * a == a
+    assert a * False == False * a == ZERO
+    assert a + True == a + 1
+    assert a * Fraction(k) == a * k
+    with pytest.raises(TypeError):
+        a * Fraction(2 * k + 1, 2)
+    with pytest.raises(TypeError):
+        Fraction(2 * k + 1, 2) * a
 
 
 @given(golden, st.integers(0, 40))
