@@ -6,6 +6,19 @@ The printed closed forms are evaluated exactly as stated (including
 suspect subscripts, as sub-variant "readings") and compared against the
 brute-force oracle; disagreements are reported as FAIL verdicts, never
 silently corrected.
+
+`audit` evaluates its grid one (family, p) column at a time.  What depends
+only on (family, p) is built once by the column's first cell; what depends
+on n is carried from the previous n (PROP1's numerator powers) or read off
+one binomial transform.  A column is dense when its n values are exactly
+0..N, the shape of every CLI audit: its left sides, sum_k C(n,k) sigma^k
+F_k^P for T2..T7 and sum_k C(n,k) w^k F_k for PROP1, are then the binomial
+transform of the terms, and n = N and N//2 are recomputed per cell by
+`fib_power_sum_oracle` or the direct PROP1 sum.  A disagreement raises
+FastPathMismatch, which the CLI reports on one stderr line with exit 1.
+Other columns, such as T4's (one parity of n) or a single large n, evaluate
+each left side per cell.  The readings of one (n, p) of T6/T7 share their
+q/s rows and Lucas-weighted sums; the closed forms stay per cell.
 """
 from __future__ import annotations
 
@@ -15,6 +28,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 
 from .ring import (
     GoldenInt,
@@ -31,6 +45,7 @@ from .ring import (
     unit_pow,
 )
 from .sequences import binomial, coeff_row, fib, lucas
+from .transforms import Seq, binomial_transform
 
 
 class PreconditionError(ValueError):
@@ -166,25 +181,37 @@ def _weighted_fib_sum(n: int, w: GoldenInt) -> GoldenInt:
     return GoldenInt(u, v)
 
 
+def _prop1_terms(p: int, variant: int):
+    """w and the two numerator bases of a variant's closed form, each base
+    with its sign pattern: the closed form at n is
+    (eps_a a^n - eps_b b^n)/sqrt5, where eps is (-1)^n for a base marked
+    alternating and 1 otherwise.  Returns (w, (a, a_alt), (b, b_alt))."""
+    x, y = PHI, PSI
+    if variant == 811:
+        return unit_pow(x, p), (unit_pow(x, p + 1) + 1, False), (unit_pow(x, p - 1) - 1, True)
+    if variant == 812:
+        return -unit_pow(x, p), (unit_pow(x, p + 1) - 1, True), (unit_pow(x, p - 1) + 1, False)
+    if variant == 813:
+        return unit_pow(y, p), (unit_pow(y, p - 1) - 1, True), (unit_pow(y, p + 1) + 1, False)
+    if variant == 814:
+        return -unit_pow(y, p), (unit_pow(y, p - 1) + 1, False), (unit_pow(y, p + 1) - 1, True)
+    raise ValueError(f"variant must be one of 811, 812, 813, 814, got {variant}")
+
+
+def _prop1_rhs(n: int, a_pow: GoldenInt, a_alt: bool, b_pow: GoldenInt, b_alt: bool) -> GoldenInt:
+    """(eps_a a^n - eps_b b^n)/sqrt5 from a^n and b^n; raises NotDivisible
+    when the numerator is not a sqrt5 multiple."""
+    odd = n % 2
+    return div_sqrt5(
+        (-a_pow if a_alt and odd else a_pow) - (-b_pow if b_alt and odd else b_pow)
+    )
+
+
 def prop1_eval(n: int, p: int, variant: int) -> tuple[GoldenInt, GoldenInt]:
     """Weighted binomial sums of F_k against golden-power weights and their
     closed forms (variants 811..814).  Both sides as exact ring elements."""
-    x, y = PHI, PSI
-    if variant == 811:
-        w = unit_pow(x, p)
-        num = (unit_pow(x, p + 1) + 1) ** n - (-1) ** n * (unit_pow(x, p - 1) - 1) ** n
-    elif variant == 812:
-        w = -unit_pow(x, p)
-        num = (-1) ** n * (unit_pow(x, p + 1) - 1) ** n - (unit_pow(x, p - 1) + 1) ** n
-    elif variant == 813:
-        w = unit_pow(y, p)
-        num = (-1) ** n * (unit_pow(y, p - 1) - 1) ** n - (unit_pow(y, p + 1) + 1) ** n
-    elif variant == 814:
-        w = -unit_pow(y, p)
-        num = (unit_pow(y, p - 1) + 1) ** n - (-1) ** n * (unit_pow(y, p + 1) - 1) ** n
-    else:
-        raise ValueError(f"variant must be one of 811, 812, 813, 814, got {variant}")
-    return _weighted_fib_sum(n, w), div_sqrt5(GoldenInt._coerce(num))
+    w, (a, a_alt), (b, b_alt) = _prop1_terms(p, variant)
+    return _weighted_fib_sum(n, w), _prop1_rhs(n, a**n, a_alt, b**n, b_alt)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +289,45 @@ def _row_before(kind: str, n: int) -> tuple[int, ...]:
     return coeff_row(kind, n - 1) if n else ()
 
 
+def _t6_t7_rhs(family: IdentityFamily, n: int, p: int, readings) -> dict:
+    """closed_form_rhs of T6 or T7 at (n, p) for each reading in `readings`.
+
+    With m = 4p+1 (T6) or 4p+3 (T7) the printed form is
+      sum_{t<=t_hi} C(m,2t) F_e q-sum(e=m-4t, j<=j_hi)
+        - (-1)^n sum_{t<p} C(m,2t+1) F_e s-sum(e=m-4t-2, j<=n-1)
+        + C(m,(m-1)/2) F_{2n (T6) or n (T7)},  over 5^((m-1)/2),
+    the q- and s-sums running over rows n-1.  The rows are taken once, and
+    each term with its Lucas-weighted sum is computed once per (row, e,
+    effective j bound): the rows are zero past their end, so T7's 'printed'
+    (j <= n) and 'j-to-n-1' share every sum.
+    """
+    if family is IdentityFamily.T6:
+        m, tail_index = 4 * p + 1, 2 * n
+        bounds = {"printed": (p - 1, n - 1), "t-to-p": (p, n - 1)}
+    else:
+        m, tail_index = 4 * p + 3, n
+        bounds = {"printed": (p, n), "t-to-p-1": (p - 1, n), "j-to-n-1": (p, n - 1)}
+    rows = {"Q": _row_before("Q", n), "S": _row_before("S", n)}
+    terms: dict = {}
+
+    def term(kind: str, c: int, e: int, j_hi: int) -> int:
+        # (kind, e) fixes c, so the key fixes the whole term.
+        row = rows[kind]
+        key = kind, e, min(j_hi, len(row) - 1)
+        if key not in terms:
+            terms[key] = binomial(m, c) * fib(e) * _lucas_weighted_sum(row, e, j_hi)
+        return terms[key]
+
+    part2 = sum(term("S", 2 * t + 1, m - 4 * t - 2, n - 1) for t in range(p))
+    tail = binomial(m, m // 2) * fib(tail_index)
+    out = {}
+    for reading in readings:
+        t_hi, j_hi = bounds[reading]
+        part1 = sum(term("Q", 2 * t, m - 4 * t, j_hi) for t in range(t_hi + 1))
+        out[reading] = _reduce(part1 - (-1) ** n * part2 + tail, 0, m // 2)
+    return out
+
+
 def closed_form_rhs(
     family: IdentityFamily, n: int, p: int, reading: str = "printed"
 ):
@@ -313,38 +379,8 @@ def closed_form_rhs(
             total += eps * binomial(4 * p + 2, i) * lucas(j) ** n * lucas(j * n)
         return _reduce(-total if n % 2 else total, 0, 2 * p + 1)
 
-    if family is IdentityFamily.T6:
-        t_hi = p - 1 if reading == "printed" else p
-        q_row, s_row = _row_before("Q", n), _row_before("S", n)
-        part1 = 0
-        for t in range(t_hi + 1):
-            e = 4 * p - 4 * t + 1
-            inner = _lucas_weighted_sum(q_row, e, n - 1)
-            part1 += binomial(4 * p + 1, 2 * t) * fib(e) * inner
-        part2 = 0
-        for t in range(p):
-            e = 4 * p - 4 * t - 1
-            inner = _lucas_weighted_sum(s_row, e, n - 1)
-            part2 += binomial(4 * p + 1, 2 * t + 1) * fib(e) * inner
-        total = part1 - (-1) ** n * part2 + binomial(4 * p + 1, 2 * p) * fib(2 * n)
-        return _reduce(total, 0, 2 * p)
-
-    if family is IdentityFamily.T7:
-        t_hi = p if reading != "t-to-p-1" else p - 1
-        j_hi = n if reading != "j-to-n-1" else n - 1
-        q_row, s_row = _row_before("Q", n), _row_before("S", n)
-        part1 = 0
-        for t in range(t_hi + 1):
-            e = 4 * p - 4 * t + 3
-            inner = _lucas_weighted_sum(q_row, e, j_hi)
-            part1 += binomial(4 * p + 3, 2 * t) * fib(e) * inner
-        part2 = 0
-        for t in range(p):
-            e = 4 * p - 4 * t + 1
-            inner = _lucas_weighted_sum(s_row, e, n - 1)
-            part2 += binomial(4 * p + 3, 2 * t + 1) * fib(e) * inner
-        total = part1 - (-1) ** n * part2 + binomial(4 * p + 3, 2 * p + 1) * fib(n)
-        return _reduce(total, 0, 2 * p + 1)
+    if family in (IdentityFamily.T6, IdentityFamily.T7):
+        return _t6_t7_rhs(family, n, p, (reading,))[reading]
 
     raise ValueError(f"{family.value} has no closed-form evaluator")
 
@@ -362,6 +398,16 @@ def cross_power_expansion(n: int, a, shift: int):
     and expanded uses the q (shift +1) or s (shift -1) coefficients against
     the power sums a^c + b^c.
     """
+    a_shift, b_shift, power_sums = _cross_power_lists(a, shift, n)
+    return (
+        _cross_power_direct(n, a_shift, b_shift),
+        _cross_power_expanded(n, shift, power_sums),
+    )
+
+
+def _cross_power_lists(a, shift: int, n_max: int) -> tuple[list, list, list]:
+    """(a+shift)^j, (b+shift)^j and a^c + b^c for j, c = 0..n_max, with
+    b = -1/a; checks shift and the precondition a*b = -1."""
     if shift not in (1, -1):
         raise ValueError(f"shift must be +1 or -1, got {shift}")
     if isinstance(a, GoldenInt):
@@ -376,13 +422,19 @@ def cross_power_expansion(n: int, a, shift: int):
         b = Fraction(-1) / a
     if a * b != -1:
         raise PreconditionError(f"a*b = {a * b}, expected -1")
+    power_sums = [x + y for x, y in zip(_powers(a, n_max), _powers(b, n_max))]
+    return _powers(a + shift, n_max), _powers(b + shift, n_max), power_sums
 
-    a_shift, b_shift = _powers(a + shift, n), _powers(b + shift, n)
-    direct = sum(a_shift[n - j] * b_shift[j] for j in range(n + 1))
+
+def _cross_power_direct(n: int, a_shift: list, b_shift: list):
+    """sum_{j=0..n} (a+shift)^(n-j) (b+shift)^j."""
+    return sum(a_shift[n - j] * b_shift[j] for j in range(n + 1))
+
+
+def _cross_power_expanded(n: int, shift: int, power_sums: list):
+    """q(n,0) + sum_{c=1..n} q(n,c) (a^c + b^c), or the same with s."""
     row = coeff_row("Q" if shift == 1 else "S", n)
-    a_pow, b_pow = _powers(a, n), _powers(b, n)
-    expanded = sum(row[c] * (a_pow[c] + b_pow[c]) for c in range(1, n + 1)) + row[0]
-    return direct, expanded
+    return sum(row[c] * power_sums[c] for c in range(1, n + 1)) + row[0]
 
 
 def _powers(x, n: int) -> list:
@@ -544,51 +596,167 @@ _ADJUDICATION_NOTES = {
 }
 
 
+class FastPathMismatch(RuntimeError):
+    """A column's binomial transform disagrees with the per-cell evaluation
+    at a sampled n: a fault of the program, not of a printed formula."""
+
+
+class _Column:
+    """State shared by the cells of one (family, p) column of an audit.
+
+    The column's first cell builds it, so that work is part of the cell;
+    later cells read it, or carry forward from the previous n what depends
+    on n.  Cells arrive in ascending n, the readings of one n adjacent.  A
+    column is dense when its n values are exactly 0..N: its left sides are
+    then read off one binomial transform, checked at n = N and N//2 against
+    `reference`, the per-cell evaluation that every other column uses.
+    """
+
+    def __init__(self, family: IdentityFamily, p: int | None, n_values: tuple[int, ...]):
+        self.family = family
+        self.p = p
+        self.n_values = n_values
+        self.dense = n_values == tuple(range(len(n_values)))
+        self.values = None  # a dense column's left sides, by n
+        self.last = None  # (n, left side, its rendering)
+        self.built = False
+
+    def left(self, n: int):
+        """The left side at n and its rendering, each computed once per n;
+        the first call builds the column."""
+        if not self.built:
+            self.build()
+            self.built = True
+        if self.last is None or self.last[0] != n:
+            value = self.reference(n) if self.values is None else self.values[n]
+            self.last = n, value, render_exact(value)
+        return self.last[1:]
+
+    def use_dense(self, values) -> None:
+        """Take a dense column's left sides after checking them at N, N//2."""
+        n_max = len(values) - 1
+        for n in dict.fromkeys((n_max, n_max // 2)):
+            if values[n] != self.reference(n):
+                raise FastPathMismatch(
+                    f"{self.family.value} p={self.p}: the column's binomial transform "
+                    f"disagrees with the per-cell evaluation at n={n}"
+                )
+        self.values = values
+
+
+class _OracleColumn(_Column):
+    """T2..T7: the left side sum_k sigma^k C(n,k) F_k^P; T6/T7 evaluate the
+    readings of one n together."""
+
+    def build(self) -> None:
+        power, self.sign = FAMILY_POWER_SIGN[self.family]
+        self.power = power(self.p)
+        self.rhs_at = None  # (n, {reading: T6/T7 closed form})
+        if self.dense:
+            sigma = _sign_value(self.sign)
+            terms = []
+            s, fk, fk1 = 1, 0, 1
+            for _ in self.n_values:
+                terms.append(s * fk**self.power)
+                s, fk, fk1 = s * sigma, fk1, fk + fk1
+            self.use_dense(binomial_transform(Seq(tuple(terms))).values)
+
+    def reference(self, n: int) -> int:
+        return fib_power_sum_oracle(n, self.power, self.sign)
+
+    def rhs(self, n: int, reading: str):
+        if self.family not in (IdentityFamily.T6, IdentityFamily.T7):
+            return closed_form_rhs(self.family, n, self.p, reading)
+        if self.rhs_at is None or self.rhs_at[0] != n:
+            readings = FAMILY_READINGS[self.family]
+            self.rhs_at = n, _t6_t7_rhs(self.family, n, self.p, readings)
+        return self.rhs_at[1][reading]
+
+
+class _Prop1Column(_Column):
+    """PROP1: the left side sum_k C(n,k) w^k F_k; the closed form's two
+    numerator powers are carried from one n to the next."""
+
+    def build(self) -> None:
+        variant = int(self.family.value.split("_")[1])
+        self.w, (self.a, self.a_alt), (self.b, self.b_alt) = _prop1_terms(self.p, variant)
+        self.at, self.a_pow, self.b_pow = 0, ONE, ONE  # a^at, b^at
+        if self.dense:
+            us, vs = [], []
+            wk, fk, fk1 = ONE, 0, 1
+            for _ in self.n_values:
+                us.append(wk.u * fk)
+                vs.append(wk.v * fk)
+                wk, fk, fk1 = wk * self.w, fk1, fk + fk1
+            u, v = binomial_transform(Seq(tuple(us))), binomial_transform(Seq(tuple(vs)))
+            self.use_dense(tuple(map(GoldenInt, u, v)))
+
+    def reference(self, n: int) -> GoldenInt:
+        return _weighted_fib_sum(n, self.w)
+
+    def rhs(self, n: int, reading: str) -> GoldenInt:
+        step, self.at = n - self.at, n
+        self.a_pow = self.a_pow * (self.a if step == 1 else ring_pow(self.a, step))
+        self.b_pow = self.b_pow * (self.b if step == 1 else ring_pow(self.b, step))
+        return _prop1_rhs(n, self.a_pow, self.a_alt, self.b_pow, self.b_alt)
+
+
+class _LemmaColumn(_Column):
+    """LEMMA5/LEMMA7 at a = phi: the power lists to the largest n, built once;
+    the direct and expanded sums stay literal per cell."""
+
+    def build(self) -> None:
+        self.shift = 1 if self.family is IdentityFamily.LEMMA5 else -1
+        self.a_shift, self.b_shift, self.power_sums = _cross_power_lists(
+            PHI, self.shift, self.n_values[-1]
+        )
+
+    def reference(self, n: int):
+        return _cross_power_direct(n, self.a_shift, self.b_shift)
+
+    def rhs(self, n: int, reading: str):
+        return _cross_power_expanded(n, self.shift, self.power_sums)
+
+
+def _column(family: IdentityFamily, p: int | None, n_values: tuple) -> _Column | None:
+    """The unbuilt state of a (family, p) column; None for REMARK1, whose
+    cells share nothing."""
+    if family.value.startswith("REMARK1_"):
+        return None
+    if family.value.startswith("PROP1_"):
+        return _Prop1Column(family, p, n_values)
+    if family in (IdentityFamily.LEMMA5, IdentityFamily.LEMMA7):
+        return _LemmaColumn(family, p, n_values)
+    return _OracleColumn(family, p, n_values)
+
+
 def _audit_cell(
     family: IdentityFamily, n: int | None, p: int | None, reading: str,
-    oracle_values: dict,
+    column: _Column | None,
 ) -> AuditEntry:
     """Evaluate one grid cell; failures are data, not exceptions.
 
-    `oracle_values` holds the oracle's left side of the last (family, n, p)
-    evaluated, with its rendered text.  The readings of one (family, n, p)
-    are adjacent cells, so they share a single oracle evaluation and
-    rendering, and at most one value is kept.
+    `column` is the state shared by the cells of this (family, p); the
+    column's first cell builds it.
     """
     note = ""
-    lhs_text = None
-    if family.value.startswith("REMARK1_"):
-        index = int(family.value.split("_")[1])
-        lhs, rhs = remark1_relation(p, index)
-    elif family.value.startswith("PROP1_"):
-        variant = int(family.value.split("_")[1])
+    if column is None:
+        lhs, rhs = remark1_relation(p, int(family.value.split("_")[1]))
+        lhs_text = render_exact(lhs)
+    else:
+        lhs, lhs_text = column.left(n)
         try:
-            lhs, rhs = prop1_eval(n, p, variant)
+            rhs = column.rhs(n, reading)
         except NotDivisible as exc:
             return AuditEntry(
                 family.value, n, p, reading, "", "", "FAIL",
                 f"closed form not divisible by sqrt5: {exc}",
             )
-    elif family in (IdentityFamily.LEMMA5, IdentityFamily.LEMMA7):
-        shift = 1 if family is IdentityFamily.LEMMA5 else -1
-        lhs, rhs = cross_power_expansion(n, PHI, shift)
-    else:
-        key = (family, n, p)
-        if key not in oracle_values:
-            power, sign = FAMILY_POWER_SIGN[family]
-            oracle_values.clear()
-            value = fib_power_sum_oracle(n, power(p), sign)
-            oracle_values[key] = value, render_exact(value)
-        lhs, lhs_text = oracle_values[key]
-        try:
-            rhs = closed_form_rhs(family, n, p, reading)
         except NotIntegral as exc:
             return AuditEntry(
                 family.value, n, p, reading, lhs_text, str(exc), "FAIL",
                 "closed form is not a rational integer",
             )
-    if lhs_text is None:
-        lhs_text = render_exact(lhs)
     verdict = "PASS" if lhs == rhs else "FAIL"
     if verdict == "FAIL":
         note = "printed form disagrees with the brute-force oracle"
@@ -637,8 +805,11 @@ def audit(families, n_range, p_range) -> AuditReport:
     verdicts.  The report is deterministic: cells are evaluated over the
     canonical (family, p, n, reading) ordering."""
     cells = audit_cells(families, n_range, p_range)
-    oracle_values: dict = {}
-    entries = [_audit_cell(*cell, oracle_values) for cell in cells]
+    entries = []
+    for (family, p), group in groupby(cells, key=lambda cell: (cell[0], cell[2])):
+        group = list(group)
+        column = _column(family, p, tuple(dict.fromkeys(cell[1] for cell in group)))
+        entries.extend(_audit_cell(*cell, column) for cell in group)
     entries.sort(
         key=lambda e: (
             _FAMILY_ORDER[IdentityFamily(e.family)],

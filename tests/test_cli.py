@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from fibaudit import cli
+from fibaudit import cli, identities
 from fibaudit.cli import main
 from fibaudit.identities import IdentityFamily
 from fibaudit.sequences import build_coeff_table
+from fibaudit.transforms import Seq
 
 
 def run(capsys, *argv):
@@ -126,6 +127,23 @@ def test_escaping_exception_is_one_line(capsys):
     assert out == ""
     assert err.startswith("error: audit: ValueError: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_fast_path_mismatch_exits_1_with_one_line(capsys, monkeypatch):
+    real_transform = identities.binomial_transform
+
+    def off_by_one(seq):
+        values = list(real_transform(seq))
+        values[-1] += 1
+        return Seq(tuple(values))
+
+    monkeypatch.setattr(identities, "binomial_transform", off_by_one)
+    rc, out, err = run(capsys, "audit", "--families", "T2", "--n-max", "8", "--p-max", "1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: audit: FastPathMismatch: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
 
 
 def test_tables_csv(capsys):

@@ -7,7 +7,9 @@ from fractions import Fraction
 from fibaudit import identities
 
 from fibaudit.identities import (
+    FAMILY_POWER_SIGN,
     FAMILY_READINGS,
+    FastPathMismatch,
     _lucas_weighted_sum,
     _reduce,
     AuditEntry,
@@ -26,6 +28,7 @@ from fibaudit.identities import (
 )
 from fibaudit.ring import GoldenInt, NotIntegral, PHI
 from fibaudit.sequences import coeff_row, fib, lucas
+from fibaudit.transforms import Seq
 
 F = IdentityFamily
 
@@ -274,39 +277,149 @@ def test_audit_fail_entries_carry_values():
         assert e.note != ""
 
 
-def test_audit_calls_the_oracle_once_per_family_n_p(monkeypatch):
+class OracleValue(int):
+    """Marks left sides from the oracle or a transform, so that their
+    renderings can be counted."""
+
+
+def _count_oracle_and_renders(monkeypatch):
+    """Count oracle calls and renderings of left sides under monkeypatch."""
     calls = []
-    oracle_renders = []
+    renders = []
     real_oracle = identities.fib_power_sum_oracle
     real_render = identities.render_exact
-
-    class OracleValue(int):
-        """Marks the oracle's results so their renderings can be counted."""
+    real_transform = identities.binomial_transform
 
     def counting_oracle(n, p, sign="+"):
         calls.append((n, p, sign))
         return OracleValue(real_oracle(n, p, sign))
 
+    def marking_transform(seq):
+        return Seq(tuple(OracleValue(v) for v in real_transform(seq)))
+
     def counting_render(x):
         if type(x) is OracleValue:
-            oracle_renders.append(int(x))
+            renders.append(int(x))
         return real_render(x)
 
-    families = [F.T2, F.T3, F.T4_EVEN, F.T4_ODD, F.T5, F.T6, F.T7]
-    expected = audit(families, range(9), range(3))
     monkeypatch.setattr(identities, "fib_power_sum_oracle", counting_oracle)
+    monkeypatch.setattr(identities, "binomial_transform", marking_transform)
     monkeypatch.setattr(identities, "render_exact", counting_render)
-    report = audit(families, range(9), range(3))
+    return calls, renders
+
+
+_ORACLE_FAMILIES = [F.T2, F.T3, F.T4_EVEN, F.T4_ODD, F.T5, F.T6, F.T7]
+
+
+def test_audit_dense_grid_calls_the_oracle_at_sample_cells_only(monkeypatch):
+    families, n_range, p_range = _ORACLE_FAMILIES, range(9), range(3)
+    expected = audit(families, n_range, p_range)
+    calls, renders = _count_oracle_and_renders(monkeypatch)
+    report = audit(families, n_range, p_range)
     assert report == expected
-    distinct = {(c[0], c[1], c[2]) for c in audit_cells(families, range(9), range(3))}
+    cells = audit_cells(families, n_range, p_range)
+    want = []
+    for family in families:
+        power, sign = FAMILY_POWER_SIGN[family]
+        for p in p_range:
+            ns = sorted({c[1] for c in cells if c[0] is family and c[2] == p})
+            if not ns:
+                continue
+            if family in (F.T4_EVEN, F.T4_ODD):
+                # n of one parity: not dense, one oracle call per cell.
+                want += [(n, power(p), sign) for n in ns]
+            else:
+                # Dense 0..8: checked at the sample cells n = 8 and 8//2.
+                assert ns == list(n_range)
+                want += [(8, power(p), sign), (4, power(p), sign)]
+    assert sorted(calls) == sorted(want)
+    assert len(set(calls)) == len(calls)
+    # Each left side is rendered once, for PASS/FAIL and NotIntegral rows
+    # alike (the grid has both).
+    distinct = {(c[0], c[1], c[2]) for c in cells}
+    assert len(renders) == len(distinct)
+    assert any(e.note == "closed form is not a rational integer" for e in report.entries)
+
+
+def test_audit_sparse_grid_calls_the_oracle_once_per_family_n_p(monkeypatch):
+    families, n_range, p_range = _ORACLE_FAMILIES, [2, 5, 8], range(3)
+    expected = audit(families, n_range, p_range)
+    calls, renders = _count_oracle_and_renders(monkeypatch)
+    report = audit(families, n_range, p_range)
+    assert report == expected
+    distinct = {(c[0], c[1], c[2]) for c in audit_cells(families, n_range, p_range)}
     assert len(calls) == len(distinct)
     # T4_EVEN and T4_ODD share (power, sign) but split n by parity, so the
     # oracle's own arguments are distinct too.
     assert len(set(calls)) == len(calls)
-    # Each oracle value is rendered once, for PASS/FAIL and NotIntegral
-    # rows alike (the grid has both).
-    assert len(oracle_renders) == len(distinct)
+    assert len(renders) == len(distinct)
     assert any(e.note == "closed form is not a rational integer" for e in report.entries)
+
+
+def test_dense_columns_match_single_cell_audits(monkeypatch):
+    transforms = []
+    real_transform = identities.binomial_transform
+
+    def counting_transform(seq):
+        transforms.append(len(seq))
+        return real_transform(seq)
+
+    monkeypatch.setattr(identities, "binomial_transform", counting_transform)
+    report = audit(list(IdentityFamily), range(25), range(4))
+    # One transform per dense column and coordinate: T2 (p >= 1), T3, T5,
+    # T6, T7 and two per PROP1 column; T4's columns hold one parity of n.
+    assert transforms == [25] * (3 + 4 * 4 + 4 * 4 * 2)
+    dense = {(e.family, e.n, e.p, e.reading): e for e in report.entries}
+    seen = set()
+    for n in range(25):
+        for p in range(4):
+            # A single cell at n > 0 is not dense, so it takes the per-cell route.
+            for e in audit(list(IdentityFamily), [n], [p]).entries:
+                key = (e.family, e.n, e.p, e.reading)
+                assert e == dense[key], key
+                seen.add(key)
+    assert seen == set(dense)
+
+
+def test_prop1_columns_with_gaps_match_prop1_eval():
+    variants = [F.PROP1_811, F.PROP1_812, F.PROP1_813, F.PROP1_814]
+    report = audit(variants, [3, 4, 9, 17], range(5))
+    assert len(report.entries) == 4 * 4 * 5
+    for e in report.entries:
+        lhs, rhs = prop1_eval(e.n, e.p, int(e.family.split("_")[1]))
+        assert (e.lhs, e.rhs, e.verdict) == (render_exact(lhs), render_exact(rhs), "PASS")
+
+
+def test_t4_even_column_matches_per_cell_evaluation():
+    report = audit([F.T4_EVEN], range(13), range(1, 3))
+    assert {e.n for e in report.entries} == set(range(0, 13, 2))
+    for e in report.entries:
+        lhs = fib_power_sum_oracle(e.n, 4 * e.p, "-")
+        try:
+            rhs = render_exact(closed_form_rhs(F.T4_EVEN, e.n, e.p, e.reading))
+        except NotIntegral as exc:
+            rhs = str(exc)
+        assert (e.lhs, e.rhs) == (render_exact(lhs), rhs), (e.n, e.p, e.reading)
+
+
+@pytest.mark.parametrize("family, bump", [(F.T2, 1), (F.T7, 1), (F.PROP1_812, 2)])
+@pytest.mark.parametrize("at", ["last", "middle"])
+def test_fast_path_mismatch_is_raised(monkeypatch, family, bump, at):
+    """A transform entry off at a sampled n (N = 8 or N//2 = 4) is caught.
+    PROP1 is bumped by 2 in both coordinates, which keeps a ring element."""
+    real_transform = identities.binomial_transform
+    sparse = audit([family], [2, 5, 8], [1])
+
+    def broken_transform(seq):
+        values = list(real_transform(seq))
+        values[-1 if at == "last" else (len(values) - 1) // 2] += bump
+        return Seq(tuple(values))
+
+    monkeypatch.setattr(identities, "binomial_transform", broken_transform)
+    with pytest.raises(FastPathMismatch, match="n=" + ("8" if at == "last" else "4")):
+        audit([family], range(9), range(1, 2))
+    # A column that is not dense never reads the transform.
+    assert audit([family], [2, 5, 8], [1]) == sparse
 
 
 def _reduce_reference(total, sqrt5_exp, five_exp):
