@@ -25,7 +25,7 @@ from .identities import (
     fib_power_sum_oracle,
 )
 from .ring import PHI, PSI
-from .sequences import binomial, build_coeff_table
+from .sequences import binomial, coeff_rows
 from .transforms import (
     Seq,
     binomial_transform,
@@ -375,17 +375,20 @@ _TABLE_FORMATS = {
 }
 
 
-def _tables_report(output_format: str, q_table, s_table) -> Iterator[str]:
-    """The tables report, one chunk per row: every Q row, then every S row,
-    each rendered from one list of decimal strings."""
+def _tables_report(output_format: str, q_rows, s_rows) -> Iterator[str]:
+    """The tables report, one chunk per row: every Q row, then every S row.
+
+    The q and s rows are taken in lockstep, so each row is held only while
+    it is rendered.  A Q row's chunk is yielded at once; its S row's chunk,
+    made from the same decimal strings, is kept until the Q section is out.
+    """
     row_chunk, closing = _TABLE_FORMATS[output_format]
-    q_texts = []
-    for n, row in enumerate(q_table.rows):
-        texts = list(map(str, row))
-        q_texts.append(texts)
-        yield row_chunk("Q", n, texts)
-    for n, s_row in enumerate(s_table.rows):
-        yield row_chunk("S", n, _s_row_texts(s_row, q_table.rows[n], q_texts[n]))
+    s_chunks = []
+    for n, (q_row, s_row) in enumerate(zip(q_rows, s_rows)):
+        q_texts = list(map(str, q_row))
+        s_chunks.append(row_chunk("S", n, _s_row_texts(s_row, q_row, q_texts)))
+        yield row_chunk("Q", n, q_texts)
+    yield from s_chunks
     if closing:
         yield closing
 
@@ -395,11 +398,11 @@ def cmd_tables(config: RunConfig) -> int:
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    q_table = build_coeff_table("Q", config.n_max)
-    s_table = build_coeff_table("S", config.n_max)
-    return _write_report(
-        config, _tables_report(config.output_format, q_table, s_table)
-    )
+    # coeff_rows checks the first rows when called, so a recurrence fault
+    # is raised before --out is opened or any byte is written.
+    q_rows = coeff_rows("Q", config.n_max)
+    s_rows = coeff_rows("S", config.n_max)
+    return _write_report(config, _tables_report(config.output_format, q_rows, s_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ transform of the terms, and n = N and N//2 are recomputed per cell by
 FastPathMismatch, which the CLI reports on one stderr line with exit 1.
 Other columns, such as T4's (one parity of n) or a single large n, evaluate
 each left side per cell.  The readings of one (n, p) of T6/T7 share their
-q/s rows and Lucas-weighted sums; the closed forms stay per cell.
+q/s rows and Lucas-weighted sums, and a T6/T7 column computes the F_e and
+L_e of its terms once; the closed forms stay per cell.
 """
 from __future__ import annotations
 
@@ -265,16 +266,15 @@ FAMILY_POWER_SIGN = {
 }
 
 
-def _lucas_weighted_sum(row: tuple[int, ...], e: int, j_hi: int) -> int:
+def _lucas_weighted_sum(row: tuple[int, ...], e: int, j_hi: int, le: int) -> int:
     """row[0] + sum_{j=1..j_hi} row[j] * L_{e*j}, where row[j] = 0 past the
-    end of the row.
+    end of the row and le = L_e.
 
     L_{e*j} is generated by L_{e(j+1)} = L_e L_{ej} - (-1)^e L_{e(j-1)}.
     """
     if not row:
         return 0
     total = row[0]
-    le = lucas(e)
     sign = -1 if e % 2 else 1  # (-1)^e
     prev, cur = 2, le  # L_0, L_e
     for j in range(1, min(j_hi, len(row) - 1) + 1):
@@ -289,7 +289,17 @@ def _row_before(kind: str, n: int) -> tuple[int, ...]:
     return coeff_row(kind, n - 1) if n else ()
 
 
-def _t6_t7_rhs(family: IdentityFamily, n: int, p: int, readings) -> dict:
+def _t6_t7_constants(family: IdentityFamily, p: int) -> dict[int, tuple[int, int]]:
+    """(F_e, L_e) for every index e of a T6/T7 term at p: e = m-4t in the
+    q-sums and m-4t-2 in the s-sums, which depend on p alone."""
+    m = 4 * p + (1 if family is IdentityFamily.T6 else 3)
+    indices = [m - 4 * t for t in range(p + 1)] + [m - 4 * t - 2 for t in range(p)]
+    return {e: (fib(e), lucas(e)) for e in indices}
+
+
+def _t6_t7_rhs(
+    family: IdentityFamily, n: int, p: int, readings, constants: dict | None = None
+) -> dict:
     """closed_form_rhs of T6 or T7 at (n, p) for each reading in `readings`.
 
     With m = 4p+1 (T6) or 4p+3 (T7) the printed form is
@@ -299,8 +309,11 @@ def _t6_t7_rhs(family: IdentityFamily, n: int, p: int, readings) -> dict:
     the q- and s-sums running over rows n-1.  The rows are taken once, and
     each term with its Lucas-weighted sum is computed once per (row, e,
     effective j bound): the rows are zero past their end, so T7's 'printed'
-    (j <= n) and 'j-to-n-1' share every sum.
+    (j <= n) and 'j-to-n-1' share every sum.  `constants` is
+    `_t6_t7_constants(family, p)`, which an audit column computes once.
     """
+    if constants is None:
+        constants = _t6_t7_constants(family, p)
     if family is IdentityFamily.T6:
         m, tail_index = 4 * p + 1, 2 * n
         bounds = {"printed": (p - 1, n - 1), "t-to-p": (p, n - 1)}
@@ -315,7 +328,8 @@ def _t6_t7_rhs(family: IdentityFamily, n: int, p: int, readings) -> dict:
         row = rows[kind]
         key = kind, e, min(j_hi, len(row) - 1)
         if key not in terms:
-            terms[key] = binomial(m, c) * fib(e) * _lucas_weighted_sum(row, e, j_hi)
+            f_e, l_e = constants[e]
+            terms[key] = binomial(m, c) * f_e * _lucas_weighted_sum(row, e, j_hi, l_e)
         return terms[key]
 
     part2 = sum(term("S", 2 * t + 1, m - 4 * t - 2, n - 1) for t in range(p))
@@ -652,6 +666,8 @@ class _OracleColumn(_Column):
         power, self.sign = FAMILY_POWER_SIGN[self.family]
         self.power = power(self.p)
         self.rhs_at = None  # (n, {reading: T6/T7 closed form})
+        if self.family in (IdentityFamily.T6, IdentityFamily.T7):
+            self.constants = _t6_t7_constants(self.family, self.p)
         if self.dense:
             sigma = _sign_value(self.sign)
             terms = []
@@ -669,7 +685,7 @@ class _OracleColumn(_Column):
             return closed_form_rhs(self.family, n, self.p, reading)
         if self.rhs_at is None or self.rhs_at[0] != n:
             readings = FAMILY_READINGS[self.family]
-            self.rhs_at = n, _t6_t7_rhs(self.family, n, self.p, readings)
+            self.rhs_at = n, _t6_t7_rhs(self.family, n, self.p, readings, self.constants)
         return self.rhs_at[1][reading]
 
 

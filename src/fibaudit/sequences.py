@@ -7,6 +7,7 @@ serve as an oracle for the other.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -125,14 +126,32 @@ class CoeffTable:
         return self.rows[n][c]
 
 
-# Entries at or below this row index are re-derived from the direct sum at
-# build time; a disagreement raises RecurrenceMismatch.
+# Entries at or below this row index are re-derived from the direct sum
+# before the first row is handed out; a disagreement raises
+# RecurrenceMismatch.
 _CROSS_CHECK_LIMIT = 20
 
 
-def build_coeff_table(kind: str, n_max: int) -> CoeffTable:
-    """Fill a q- or s-table, using the recurrences inside their stated
-    validity range and the direct definition elsewhere.
+def _next_row(kind: str, direct, n: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+    """Row n+1 of the q- or s-table from row n by the recurrences."""
+    # x(n,1) lies outside row n only at n = 0; take it from the definition.
+    at1 = prev[1] if n else direct(0, 1)
+    if kind == "Q":
+        row = [1 - at1 + prev[0]]
+        row += [x + y for x, y in zip(prev, prev[1:])]  # c = 1..n
+    else:
+        row = [-at1 - prev[0] + (-1) ** (n + 1)]
+        row += [x - y for x, y in zip(prev, prev[1:n])]  # c = 1..n-1
+        if n >= 1:
+            row.append(direct(n + 1, n))
+    row.append(direct(n + 1, n + 1))
+    return tuple(row)
+
+
+def coeff_rows(kind: str, n_max: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..n_max of the q- or s-table, one at a time, using the
+    recurrences inside their stated validity range and the direct
+    definition elsewhere.
 
     The q recurrences used (valid for row n -> n+1):
       c in 1..n:  q(n+1,c) = q(n,c-1) + q(n,c)
@@ -141,6 +160,12 @@ def build_coeff_table(kind: str, n_max: int) -> CoeffTable:
       c in 1..n-1: s(n+1,c) = s(n,c-1) - s(n,c)
       c = 0:       s(n+1,0) = -s(n,1) - s(n,0) + (-1)^(n+1)
     The diagonal entry of each new row comes from the definition.
+
+    Rows 0..min(n_max, _CROSS_CHECK_LIMIT) are filled and checked against
+    the definition by this call, so a bad argument (ValueError) or a
+    disagreement (RecurrenceMismatch) is raised here, before any row is
+    handed out.  Each later row is made from the one before when it is
+    asked for, so no table is held.
     """
     if kind not in ("Q", "S"):
         raise ValueError(f"kind must be 'Q' or 'S', got {kind!r}")
@@ -148,28 +173,29 @@ def build_coeff_table(kind: str, n_max: int) -> CoeffTable:
         raise ValueError("n_max must be non-negative")
     direct = q_coeff if kind == "Q" else s_coeff
 
-    rows: list[tuple[int, ...]] = [(direct(0, 0),)]
-    for n in range(n_max):
-        prev = rows[n]
-        # x(n,1) lies outside row n only at n = 0; take it from the definition.
-        at1 = prev[1] if n else direct(0, 1)
-        if kind == "Q":
-            row = [1 - at1 + prev[0]]
-            row += [x + y for x, y in zip(prev, prev[1:])]  # c = 1..n
-        else:
-            row = [-at1 - prev[0] + (-1) ** (n + 1)]
-            row += [x - y for x, y in zip(prev, prev[1:n])]  # c = 1..n-1
-            if n >= 1:
-                row.append(direct(n + 1, n))
-        row.append(direct(n + 1, n + 1))
-        rows.append(tuple(row))
-
-    for n in range(min(n_max, _CROSS_CHECK_LIMIT) + 1):
-        for c in range(n + 1):
+    head = [(direct(0, 0),)]
+    for n in range(min(n_max, _CROSS_CHECK_LIMIT)):
+        head.append(_next_row(kind, direct, n, head[n]))
+    for n, row in enumerate(head):
+        for c, value in enumerate(row):
             expected = direct(n, c)
-            if rows[n][c] != expected:
+            if value != expected:
                 raise RecurrenceMismatch(
-                    f"{kind}({n},{c}): recurrence gave {rows[n][c]}, "
+                    f"{kind}({n},{c}): recurrence gave {value}, "
                     f"definition gives {expected}"
                 )
-    return CoeffTable(kind=kind, n_max=n_max, rows=tuple(rows))
+    return _rows_after(kind, direct, head, n_max)
+
+
+def _rows_after(kind: str, direct, head: list, n_max: int) -> Iterator[tuple[int, ...]]:
+    """The checked rows `head`, then the rows after them up to n_max."""
+    yield from head
+    row = head[-1]
+    for n in range(len(head) - 1, n_max):
+        row = _next_row(kind, direct, n, row)
+        yield row
+
+
+def build_coeff_table(kind: str, n_max: int) -> CoeffTable:
+    """The whole q- or s-table: every row of `coeff_rows`, kept."""
+    return CoeffTable(kind=kind, n_max=n_max, rows=tuple(coeff_rows(kind, n_max)))

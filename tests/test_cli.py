@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import sys
+import tracemalloc
 
 import pytest
 
+import fibaudit.sequences as seq
 from fibaudit import cli, identities
 from fibaudit.cli import main
 from fibaudit.identities import IdentityFamily
@@ -198,6 +201,50 @@ def test_tables_match_reference_formatting(capsys, output_format):
         )
         assert rc == 0
         assert out == _tables_reference(n_max, output_format), n_max
+
+
+def test_tables_recurrence_fault_writes_nothing(capsys, monkeypatch, tmp_path):
+    # The rows up to the cross-check limit are checked before the first
+    # report byte, so a fault there leaves no partial report and no file.
+    real = seq.q_coeff
+
+    def broken(n, c):
+        return real(n, c) + (1 if (n, c) == (20, 7) else 0)
+
+    monkeypatch.setattr(seq, "q_coeff", broken)
+    for extra in ([], ["--out", str(tmp_path / "tables.txt")]):
+        rc, out, err = run(capsys, "tables", "--n-max", "30", *extra)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: tables: RecurrenceMismatch: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "tables.txt").exists()
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("output_format", ["text", "csv", "json"])
+def test_tables_memory_stays_below_report_size(monkeypatch, output_format):
+    # The report is written row by row and only the S section's chunks are
+    # held, so the traced peak stays below the report's own size.
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        rc = main(["tables", "--n-max", "200", "--format", output_format])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert 0 < peak < sink.chars, (peak, sink.chars)
 
 
 def test_s_row_texts_falls_back_to_str():

@@ -150,8 +150,9 @@ def test_lucas_weighted_sum_matches_lucas_calls():
                     want = row[0] + sum(
                         row[j] * lucas(e * j) for j in range(1, min(j_hi, n) + 1)
                     )
-                    assert _lucas_weighted_sum(row, e, j_hi) == want, (kind, n, e, j_hi)
-    assert _lucas_weighted_sum((), 5, 3) == 0
+                    got = _lucas_weighted_sum(row, e, j_hi, lucas(e))
+                    assert got == want, (kind, n, e, j_hi)
+    assert _lucas_weighted_sum((), 5, 3, lucas(5)) == 0
 
 
 def test_t6_p0_is_even_fib():

@@ -7,6 +7,7 @@ from fibaudit.sequences import (
     binomial,
     build_coeff_table,
     coeff_row,
+    coeff_rows,
     fib,
     fib_naive,
     lucas,
@@ -131,11 +132,22 @@ def test_build_coeff_table_matches_definition():
             assert table.rows[n] == coeff_row(kind, n), (kind, n)
 
 
+def test_coeff_rows_match_row_function():
+    # The generator's recurrences against the independent O(n) row function.
+    for kind in ("Q", "S"):
+        rows = list(coeff_rows(kind, 200))
+        assert len(rows) == 201
+        for n, row in enumerate(rows):
+            assert row == coeff_row(kind, n), (kind, n)
+
+
 def test_build_coeff_table_bad_args():
     with pytest.raises(ValueError):
         build_coeff_table("X", 3)
     with pytest.raises(ValueError):
         build_coeff_table("Q", -1)
+    with pytest.raises(ValueError):
+        coeff_rows("S", -1)
 
 
 def test_recurrence_mismatch_detected(monkeypatch):
@@ -149,3 +161,6 @@ def test_recurrence_mismatch_detected(monkeypatch):
     monkeypatch.setattr(seq, "q_coeff", broken)
     with pytest.raises(RecurrenceMismatch):
         build_coeff_table("Q", 5)
+    # coeff_rows checks when called, before any row is taken.
+    with pytest.raises(RecurrenceMismatch):
+        coeff_rows("Q", 5)
