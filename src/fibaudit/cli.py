@@ -1,29 +1,23 @@
-"""Command-line front end: verification suites, identity audits,
-coefficient tables, and the closed-form-vs-naive-summation benchmark.
+"""Command-line front end: `verify` runs the transform property suites,
+`audit` checks the printed identities against the oracles, and `tables`
+prints the q/s coefficient tables.
 
-Reports go to standard output (or --out); diagnostics go to standard
-error.  Exit codes: 0 success, 1 suite/equality failure or an unexpected
-error (reported as one line on standard error), 2 invalid configuration,
-3 printed-form audit FAIL, 4 output I/O failure.
+Each command takes only the flags it reads: all three take --n-max, --out
+and --unsafe-no-caps; `tables` adds --format; `audit` adds --format,
+--families and --p-max.  Reports go to standard output (or --out);
+diagnostics go to standard error.  Exit codes: 0 success, 1 suite failure
+or an unexpected error (reported as one line on standard error), 2 invalid
+configuration, 3 printed-form audit FAIL, 4 output I/O failure.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
-import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .identities import (
-    FAMILY_POWER_SIGN,
-    IdentityFamily,
-    audit,
-    closed_form_rhs,
-    fib_power_sum_oracle,
-)
+from .identities import IdentityFamily, audit
 from .ring import PHI, PSI
 from .sequences import binomial, coeff_rows
 from .transforms import (
@@ -41,34 +35,23 @@ from .transforms import (
 
 HARD_N_MAX = 4096
 HARD_P_MAX = 64
-BENCH_N_FLOOR = 256
 
 
-@dataclass
-class RunConfig:
-    command: str
-    families: list[str] = field(default_factory=lambda: ["all"])
-    n_max: int = 16
-    p_max: int = 2
-    output_format: str = "text"
-    output_path: str | None = None
-    unsafe_no_caps: bool = False
-
-
-def _validate(config: RunConfig) -> str | None:
-    if config.n_max < 0:
+def _validate(args: argparse.Namespace) -> str | None:
+    p_max = getattr(args, "p_max", 0)  # only `audit` takes --p-max
+    if args.n_max < 0:
         return "n-max must be non-negative"
-    if config.p_max < 0:
+    if p_max < 0:
         return "p-max must be non-negative"
-    if not config.unsafe_no_caps:
-        if config.n_max > HARD_N_MAX:
+    if not args.unsafe_no_caps:
+        if args.n_max > HARD_N_MAX:
             return f"n-max exceeds the hard cap {HARD_N_MAX} (use --unsafe-no-caps)"
-        if config.p_max > HARD_P_MAX:
+        if p_max > HARD_P_MAX:
             return f"p-max exceeds the hard cap {HARD_P_MAX} (use --unsafe-no-caps)"
     return None
 
 
-def _parse_families(tokens: list[str]) -> list[IdentityFamily] | None:
+def _parse_families(families: str) -> list[IdentityFamily] | None:
     names = {f.value: f for f in IdentityFamily}
     expansions = {
         "all": list(IdentityFamily),
@@ -77,17 +60,16 @@ def _parse_families(tokens: list[str]) -> list[IdentityFamily] | None:
         "T4": [IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD],
     }
     out: list[IdentityFamily] = []
-    for token in tokens:
-        for part in token.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if part in expansions:
-                out.extend(expansions[part])
-            elif part in names:
-                out.append(names[part])
-            else:
-                return None
+    for part in families.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if part in expansions:
+            out.extend(expansions[part])
+        elif part in names:
+            out.append(names[part])
+        else:
+            return None
     return out
 
 
@@ -97,22 +79,23 @@ def _emit(out, payload: str) -> None:
     out.write(payload)
 
 
-def _write_report(config: RunConfig, chunks: Iterable[str]) -> int:
-    """Write the report's chunks, in order, to --out or standard output.
+def _write_report(path: str | None, chunks: Iterable[str]) -> int:
+    """Write the report's chunks, in order, to the --out `path` or,
+    without one, to standard output.
 
     Each chunk is written as soon as it is made, so a report produced row
     by row is never held whole in memory.
     """
-    if not config.output_path:
+    if not path:
         for chunk in chunks:
             _emit(sys.stdout, chunk)
         return 0
     try:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for chunk in chunks:
                 _emit(fh, chunk)
     except OSError as exc:
-        print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 4
     return 0
 
@@ -265,27 +248,23 @@ _VERIFY_SUITES = (
 )
 
 
-def cmd_verify(config: RunConfig) -> int:
-    error = _validate(config)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+def cmd_verify(args: argparse.Namespace) -> int:
     rng = random.Random(20240501)
     lines = []
     bounds = []
     any_fail = False
     for name, suite, cap in _VERIFY_SUITES:
-        top = min(config.n_max, cap)
+        top = min(args.n_max, cap)
         checks, fails = suite(rng, top)
         status = "PASS" if fails == 0 else "FAIL"
         any_fail = any_fail or fails > 0
         lines.append(f"{status} {name} ({checks} checks, {fails} failures)")
         bounds.append(f"{name}={top}")
     print(
-        f"verify: n bounds for --n-max {config.n_max}: " + " ".join(bounds),
+        f"verify: n bounds for --n-max {args.n_max}: " + " ".join(bounds),
         file=sys.stderr,
     )
-    rc = _write_report(config, ["\n".join(lines) + "\n"])
+    rc = _write_report(args.out, ["\n".join(lines) + "\n"])
     if rc:
         return rc
     return 1 if any_fail else 0
@@ -296,23 +275,19 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_audit(config: RunConfig) -> int:
-    error = _validate(config)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    families = _parse_families(config.families)
+def cmd_audit(args: argparse.Namespace) -> int:
+    families = _parse_families(args.families)
     if not families:
-        print(f"error: unknown family in {config.families}", file=sys.stderr)
+        print(f"error: unknown family in {[args.families]}", file=sys.stderr)
         return 2
-    report = audit(families, range(config.n_max + 1), range(config.p_max + 1))
-    if config.output_format == "json":
+    report = audit(families, range(args.n_max + 1), range(args.p_max + 1))
+    if args.format == "json":
         payload = report.to_json() + "\n"
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         payload = report.to_csv()
     else:
         payload = report.to_text()
-    rc = _write_report(config, [payload])
+    rc = _write_report(args.out, [payload])
     if rc:
         return rc
     n_fail = sum(1 for e in report.entries if e.verdict == "FAIL")
@@ -393,114 +368,12 @@ def _tables_report(output_format: str, q_rows, s_rows) -> Iterator[str]:
         yield closing
 
 
-def cmd_tables(config: RunConfig) -> int:
-    error = _validate(config)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+def cmd_tables(args: argparse.Namespace) -> int:
     # coeff_rows checks the first rows when called, so a recurrence fault
     # is raised before --out is opened or any byte is written.
-    q_rows = coeff_rows("Q", config.n_max)
-    s_rows = coeff_rows("S", config.n_max)
-    return _write_report(config, _tables_report(config.output_format, q_rows, s_rows))
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-_BENCHMARKABLE = (IdentityFamily.T2, IdentityFamily.T3)
-
-
-def _time_best(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def cmd_bench(config: RunConfig) -> int:
-    error = _validate(config)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if config.n_max < BENCH_N_FLOOR:
-        print(
-            f"error: bench needs n-max >= {BENCH_N_FLOOR} for meaningful timing",
-            file=sys.stderr,
-        )
-        return 2
-    tokens = config.families
-    families = (
-        list(_BENCHMARKABLE) if tokens == ["all"] else _parse_families(tokens)
-    )
-    if not families or any(f not in _BENCHMARKABLE for f in families):
-        print("error: only T2 and T3 are benchmarkable", file=sys.stderr)
-        return 2
-
-    points = []
-    n = BENCH_N_FLOOR
-    while n <= config.n_max:
-        points.append(n)
-        n *= 2
-
-    rows = []
-    any_mismatch = False
-    for family in families:
-        power, sign = FAMILY_POWER_SIGN[family]
-        p_lo = 1 if family is IdentityFamily.T2 else 0
-        for p in range(p_lo, config.p_max + 1):
-            for n in points:
-                if family is IdentityFamily.T3 and n % 2 == 1:
-                    continue
-                oracle_value = fib_power_sum_oracle(n, power(p), sign)
-                closed_value = closed_form_rhs(family, n, p)
-                equal = oracle_value == closed_value
-                any_mismatch = any_mismatch or not equal
-                t_oracle = _time_best(
-                    lambda: fib_power_sum_oracle(n, power(p), sign)
-                )
-                t_closed = _time_best(lambda: closed_form_rhs(family, n, p))
-                rows.append(
-                    {
-                        "family": family.value,
-                        "p": p,
-                        "n": n,
-                        "oracle_seconds": t_oracle,
-                        "closed_form_seconds": t_closed,
-                        "speedup": t_oracle / t_closed if t_closed > 0 else float("inf"),
-                        "equal": equal,
-                    }
-                )
-    if not rows:
-        print("error: empty benchmark grid (check p-max)", file=sys.stderr)
-        return 2
-
-    if config.output_format == "json":
-        payload = json.dumps(rows, indent=2) + "\n"
-    elif config.output_format == "csv":
-        header = "family,p,n,oracle_seconds,closed_form_seconds,speedup,equal"
-        lines = [header] + [
-            f"{r['family']},{r['p']},{r['n']},{r['oracle_seconds']:.6e},"
-            f"{r['closed_form_seconds']:.6e},{r['speedup']:.2f},{r['equal']}"
-            for r in rows
-        ]
-        payload = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"{r['family']} p={r['p']} n={r['n']}: "
-            f"oracle {r['oracle_seconds']:.6f}s, "
-            f"closed {r['closed_form_seconds']:.6f}s, "
-            f"speedup {r['speedup']:.1f}x, equal={r['equal']}"
-            for r in rows
-        ]
-        payload = "\n".join(lines) + "\n"
-    rc = _write_report(config, [payload])
-    if rc:
-        return rc
-    return 1 if any_mismatch else 0
+    q_rows = coeff_rows("Q", args.n_max)
+    s_rows = coeff_rows("S", args.n_max)
+    return _write_report(args.out, _tables_report(args.format, q_rows, s_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -515,21 +388,25 @@ def build_parser() -> argparse.ArgumentParser:
         "and Fibonacci-power identities.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--families", default="all",
-        help="comma-separated identity tags (T2, T4, REMARK1, PROP1, ...) or 'all'",
-    )
     common.add_argument("--n-max", type=int, default=16)
-    common.add_argument("--p-max", type=int, default=2)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", default=None, metavar="PATH")
     common.add_argument("--unsafe-no-caps", action="store_true")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("verify", parents=[common], help="run the transform property suites")
-    sub.add_parser("audit", parents=[common], help="audit printed identities vs oracles")
-    sub.add_parser("tables", parents=[common], help="print the q/s coefficient tables")
-    sub.add_parser("bench", parents=[common], help="time closed forms vs naive summation")
+    audit_parser = sub.add_parser(
+        "audit", parents=[common, formatted], help="audit printed identities vs oracles"
+    )
+    audit_parser.add_argument(
+        "--families", default="all",
+        help="comma-separated identity tags (T2, T4, REMARK1, PROP1, ...) or 'all'",
+    )
+    audit_parser.add_argument("--p-max", type=int, default=2)
+    sub.add_parser(
+        "tables", parents=[common, formatted], help="print the q/s coefficient tables"
+    )
     return parser
 
 
@@ -537,7 +414,6 @@ _COMMANDS = {
     "verify": cmd_verify,
     "audit": cmd_audit,
     "tables": cmd_tables,
-    "bench": cmd_bench,
 }
 
 
@@ -547,22 +423,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    config = RunConfig(
-        command=args.command,
-        families=[args.families],
-        n_max=args.n_max,
-        p_max=args.p_max,
-        output_format=args.format,
-        output_path=args.out,
-        unsafe_no_caps=args.unsafe_no_caps,
-    )
+    error = _validate(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except Exception as exc:
         # No traceback: one line naming the command and the exception.
         message = " ".join(str(exc).split())
         print(
-            f"error: {config.command}: {type(exc).__name__}: {message}",
+            f"error: {args.command}: {type(exc).__name__}: {message}",
             file=sys.stderr,
         )
         return 1

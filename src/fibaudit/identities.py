@@ -782,7 +782,9 @@ def _audit_cell(
 
 
 def audit_cells(families, n_range, p_range) -> list[tuple]:
-    """Enumerate the (family, n, p, reading) grid in canonical order."""
+    """Enumerate the (family, n, p, reading) grid in report order: by
+    family, then p, then n, then reading name (a missing p or n sorts
+    first)."""
     n_values = sorted(set(n_range))
     p_values = sorted(set(p_range))
     cells = []
@@ -811,29 +813,21 @@ def audit_cells(families, n_range, p_range) -> list[tuple]:
                         continue
                     if family is IdentityFamily.T4_ODD and n % 2 != 1:
                         continue
-                    for reading in FAMILY_READINGS[family]:
+                    for reading in sorted(FAMILY_READINGS[family]):
                         cells.append((family, n, p, reading))
     return cells
 
 
 def audit(families, n_range, p_range) -> AuditReport:
     """Run every applicable (family, n, p, reading) cell and collect
-    verdicts.  The report is deterministic: cells are evaluated over the
-    canonical (family, p, n, reading) ordering."""
+    verdicts.  The report is deterministic: its entries are in the order
+    of `audit_cells`."""
     cells = audit_cells(families, n_range, p_range)
     entries = []
     for (family, p), group in groupby(cells, key=lambda cell: (cell[0], cell[2])):
         group = list(group)
         column = _column(family, p, tuple(dict.fromkeys(cell[1] for cell in group)))
         entries.extend(_audit_cell(*cell, column) for cell in group)
-    entries.sort(
-        key=lambda e: (
-            _FAMILY_ORDER[IdentityFamily(e.family)],
-            -1 if e.p is None else e.p,
-            -1 if e.n is None else e.n,
-            e.reading,
-        )
-    )
     notes = tuple(
         _ADJUDICATION_NOTES[f]
         for f in sorted(set(families), key=_FAMILY_ORDER.get)

@@ -136,11 +136,6 @@ SQRT5 = GoldenInt(0, 2)
 ExactScalar = int | Fraction | GoldenInt
 
 
-def ring_mul(a: GoldenInt, b: GoldenInt) -> GoldenInt:
-    """Exact product of two ring elements."""
-    return a * b
-
-
 def ring_pow(a: GoldenInt, k: int) -> GoldenInt:
     """Exact k-th power, k >= 0, by square-and-multiply."""
     if k < 0:

@@ -150,10 +150,10 @@ def corollary1_eval(e: Seq, x: ExactScalar) -> tuple[ExactScalar, ExactScalar]:
     """
     n = len(e) - 1
     f = binomial_transform(e)
-    lhs = sum(binomial(n, k) * e[k] * _power(x, k) for k in range(n + 1))
+    lhs = sum(binomial(n, k) * e[k] * x**k for k in range(n + 1))
     one_minus_x = 1 - x
     rhs = sum(
-        binomial(n, j) * f[j] * _power(x, j) * _power(one_minus_x, n - j)
+        binomial(n, j) * f[j] * x**j * one_minus_x**(n - j)
         for j in range(n + 1)
     )
     return lhs, rhs
@@ -164,18 +164,10 @@ def corollary2_eval(a: Seq, x: ExactScalar) -> tuple[ExactScalar, ExactScalar]:
     sum_m C(n,m) nabla^m b_n (x-1)^m, for any exact scalar x."""
     n = len(a) - 1
     b = binomial_transform(a)
-    lhs = sum(binomial(n, k) * a[k] * _power(x, k) for k in range(n + 1))
+    lhs = sum(binomial(n, k) * a[k] * x**k for k in range(n + 1))
     x_minus_1 = x - 1
     rhs = sum(
-        binomial(n, m) * nabla_sum(b, m, n) * _power(x_minus_1, m)
+        binomial(n, m) * nabla_sum(b, m, n) * x_minus_1**m
         for m in range(n + 1)
     )
     return lhs, rhs
-
-
-def _power(x: ExactScalar, k: int) -> ExactScalar:
-    # x**k works for int, Fraction, and GoldenInt alike; kept as a helper
-    # so 0**0 = 1 is pinned in one place.
-    if k == 0:
-        return 1
-    return x**k

@@ -63,6 +63,12 @@ def test_caps_enforced(capsys):
     rc, _, err = run(capsys, "verify", "--n-max", "100000")
     assert rc == 2
     assert "cap" in err
+    rc, _, err = run(capsys, "audit", "--p-max", "65")
+    assert rc == 2
+    assert err == "error: p-max exceeds the hard cap 64 (use --unsafe-no-caps)\n"
+    rc, _, err = run(capsys, "audit", "--p-max", "-1")
+    assert rc == 2
+    assert err == "error: p-max must be non-negative\n"
 
 
 def test_audit_t2_json(capsys):
@@ -300,24 +306,37 @@ def test_audit_all_at_the_smallest_bounds(capsys, n_max, p_max):
         }
 
 
-def test_bench_floor(capsys):
-    rc, _, err = run(capsys, "bench", "--n-max", "100")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--format", "json"),
+        ("verify", "--p-max", "1"),
+        ("verify", "--families", "T2"),
+        ("tables", "--p-max", "1"),
+        ("tables", "--families", "T2"),
+        ("bench", "--n-max", "256"),
+    ],
+)
+def test_commands_reject_flags_they_do_not_read(capsys, argv):
+    rc, out, err = run(capsys, *argv)
     assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
 
 
-def test_bench_bad_family(capsys):
-    rc, _, err = run(capsys, "bench", "--families", "REMARK1", "--n-max", "512")
-    assert rc == 2
-
-
-def test_bench_t2(capsys):
+def test_unsafe_no_caps_lifts_the_caps(capsys):
+    rc, out, _ = run(capsys, "verify", "--n-max", "5000", "--unsafe-no-caps")
+    rc_cap, out_cap, _ = run(capsys, "verify", "--n-max", "4096")
+    assert rc == rc_cap == 0
+    assert out == out_cap
     rc, out, _ = run(
-        capsys, "bench", "--families", "T2", "--p-max", "1", "--n-max", "256",
-        "--format", "json",
+        capsys, "audit", "--families", "REMARK1", "--p-max", "65", "--unsafe-no-caps",
+        "--format", "csv",
     )
     assert rc == 0
-    rows = json.loads(out)
-    assert rows and all(r["equal"] for r in rows)
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 780  # 12 relations x p in 1..65
+    assert {row[6] for row in rows} == {"PASS"}
 
 
 def test_unknown_command(capsys):

@@ -502,6 +502,25 @@ def test_audit_cells_cover_readings():
     assert readings == set(FAMILY_READINGS[F.T4_ODD])
 
 
+def test_audit_entries_come_out_in_report_order():
+    # audit does not sort: the cells' own order must already be the report
+    # order (family, p, n, reading), whatever order the inputs come in.
+    remark1 = [f for f in F if f.value.startswith("REMARK1_")]
+    families = [F.T7, F.LEMMA5, *remark1, F.T4_EVEN, F.T4_ODD, F.T6]
+    entries = audit(families, [8, 3, 3, 0, 5], [2, 0, 1]).entries
+    order = {f.value: i for i, f in enumerate(F)}
+    key = lambda e: (
+        order[e.family],
+        -1 if e.p is None else e.p,
+        -1 if e.n is None else e.n,
+        e.reading,
+    )
+    assert list(entries) == sorted(entries, key=key)
+    assert len({key(e) for e in entries}) == len(entries)
+    t7 = [e.reading for e in entries if e.family == F.T7.value and (e.n, e.p) == (3, 1)]
+    assert t7 == ["j-to-n-1", "printed", "t-to-p-1"]
+
+
 def test_render_exact():
     assert render_exact(12) == "12"
     assert render_exact(Fraction(3, 4)) == "3/4"
