@@ -51,7 +51,9 @@ def _validate(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _parse_families(families: str) -> list[IdentityFamily] | None:
+def _parse_families(families: str) -> list[IdentityFamily]:
+    """The families one --families string names; ValueError names the first
+    unknown tag, or says that no tag was given."""
     names = {f.value: f for f in IdentityFamily}
     expansions = {
         "all": list(IdentityFamily),
@@ -69,7 +71,9 @@ def _parse_families(families: str) -> list[IdentityFamily] | None:
         elif part in names:
             out.append(names[part])
         else:
-            return None
+            raise ValueError(f"unknown family {part!r} in --families {families!r}")
+    if not out:
+        raise ValueError("no family given")
     return out
 
 
@@ -276,9 +280,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    families = _parse_families(args.families)
-    if not families:
-        print(f"error: unknown family in {[args.families]}", file=sys.stderr)
+    try:
+        families = _parse_families(args.families)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     report = audit(families, range(args.n_max + 1), range(args.p_max + 1))
     if args.format == "json":

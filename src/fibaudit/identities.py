@@ -8,28 +8,33 @@ brute-force oracle; disagreements are reported as FAIL verdicts, never
 silently corrected.
 
 `audit` evaluates its grid one (family, p) column at a time.  What depends
-only on (family, p) is built once by the column's first cell; what depends
-on n is carried from the previous n (PROP1's numerator powers) or read off
-one binomial transform.  A column is dense when its n values are exactly
-0..N, the shape of every CLI audit: its left sides, sum_k C(n,k) sigma^k
-F_k^P for T2..T7 and sum_k C(n,k) w^k F_k for PROP1, are then the binomial
-transform of the terms, and n = N and N//2 are recomputed per cell by
-`fib_power_sum_oracle` or the direct PROP1 sum.  A disagreement raises
-FastPathMismatch, which the CLI reports on one stderr line with exit 1.
-Other columns, such as T4's (one parity of n) or a single large n, evaluate
-each left side per cell.  The readings of one (n, p) of T6/T7 share their
-q/s rows and Lucas-weighted sums, and a T6/T7 column computes the F_e and
-L_e of its terms once; the closed forms stay per cell.
+only on (family, p) is built once by the column's first cell, and what
+depends on n is carried from the previous n; the q/s rows are built once
+per (kind, n) for the whole call.  A column is dense when its n values are
+exactly 0..N, the shape of every CLI audit, or for T4 every n of one parity
+up to N.  Its left sides, sum_k C(n,k) sigma^k F_k^P for T2..T7 and
+sum_k C(n,k) w^k F_k for PROP1, are then read off one binomial transform.
+Its right sides are carried too: the Fibonacci and Lucas factors of T2..T5
+step from one n to the next, T6/T7 take dot products of the shared rows
+with Lucas lists built once per column, and LEMMA5/7 sum both sides on
+integer coordinates.  At n = N and at the column's middle n the left side
+and every right side but PROP1's carried one are recomputed per cell
+(`fib_power_sum_oracle`, `closed_form_rhs`, `_lucas_weighted_sum`, the
+direct LEMMA and PROP1 sums); a disagreement in value, type or NotIntegral
+message raises FastPathMismatch, which the CLI reports on one stderr line
+with exit 1.  Other columns, such as a single large n, evaluate each cell
+by those per-cell routes.
 """
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
+from itertools import count, groupby, islice
+from json.encoder import encode_basestring_ascii
+from operator import mul
 
 from .ring import (
     GoldenInt,
@@ -283,10 +288,15 @@ def _lucas_weighted_sum(row: tuple[int, ...], e: int, j_hi: int, le: int) -> int
     return total
 
 
-def _row_before(kind: str, n: int) -> tuple[int, ...]:
-    """Coefficient row n-1; for n = 0 the empty row, since q(-1, c) = 0:
-    every binomial in the defining sum vanishes."""
-    return coeff_row(kind, n - 1) if n else ()
+class _Rows(dict):
+    """coeff_row(kind, n) by (kind, n), each row built on first use.  Row -1
+    is empty, since every binomial in the defining sum of q(-1, c)
+    vanishes."""
+
+    def __missing__(self, key: tuple[str, int]) -> tuple[int, ...]:
+        kind, n = key
+        row = self[key] = coeff_row(kind, n) if n >= 0 else ()
+        return row
 
 
 def _t6_t7_constants(family: IdentityFamily, p: int) -> dict[int, tuple[int, int]]:
@@ -298,7 +308,8 @@ def _t6_t7_constants(family: IdentityFamily, p: int) -> dict[int, tuple[int, int
 
 
 def _t6_t7_rhs(
-    family: IdentityFamily, n: int, p: int, readings, constants: dict | None = None
+    family: IdentityFamily, n: int, p: int, readings, rows: _Rows,
+    constants: dict | None = None, weights: dict | None = None, f_tail: int | None = None,
 ) -> dict:
     """closed_form_rhs of T6 or T7 at (n, p) for each reading in `readings`.
 
@@ -306,11 +317,14 @@ def _t6_t7_rhs(
       sum_{t<=t_hi} C(m,2t) F_e q-sum(e=m-4t, j<=j_hi)
         - (-1)^n sum_{t<p} C(m,2t+1) F_e s-sum(e=m-4t-2, j<=n-1)
         + C(m,(m-1)/2) F_{2n (T6) or n (T7)},  over 5^((m-1)/2),
-    the q- and s-sums running over rows n-1.  The rows are taken once, and
-    each term with its Lucas-weighted sum is computed once per (row, e,
-    effective j bound): the rows are zero past their end, so T7's 'printed'
-    (j <= n) and 'j-to-n-1' share every sum.  `constants` is
+    the q- and s-sums running over rows n-1, taken from `rows`.  Each term
+    with its Lucas-weighted sum is computed once per (row, e, effective j
+    bound): the rows are zero past their end, so T7's 'printed' (j <= n)
+    and 'j-to-n-1' share every sum.  `constants` is
     `_t6_t7_constants(family, p)`, which an audit column computes once.
+    Each sum is `_lucas_weighted_sum`, or with `weights` (`_carried_t6_t7`)
+    a dot product of the row with the weights of e; `f_tail`, when given,
+    is the tail's Fibonacci number.
     """
     if constants is None:
         constants = _t6_t7_constants(family, p)
@@ -320,20 +334,24 @@ def _t6_t7_rhs(
     else:
         m, tail_index = 4 * p + 3, n
         bounds = {"printed": (p, n), "t-to-p-1": (p - 1, n), "j-to-n-1": (p, n - 1)}
-    rows = {"Q": _row_before("Q", n), "S": _row_before("S", n)}
+    row_of = {"Q": rows["Q", n - 1], "S": rows["S", n - 1]}
     terms: dict = {}
 
     def term(kind: str, c: int, e: int, j_hi: int) -> int:
         # (kind, e) fixes c, so the key fixes the whole term.
-        row = rows[kind]
-        key = kind, e, min(j_hi, len(row) - 1)
-        if key not in terms:
+        row = row_of[kind]
+        k = min(j_hi, len(row) - 1)
+        if (kind, e, k) not in terms:
             f_e, l_e = constants[e]
-            terms[key] = binomial(m, c) * f_e * _lucas_weighted_sum(row, e, j_hi, l_e)
-        return terms[key]
+            if weights is None:
+                total = _lucas_weighted_sum(row, e, j_hi, l_e)
+            else:
+                total = _dot(row[:k + 1], weights[e])
+            terms[kind, e, k] = binomial(m, c) * f_e * total
+        return terms[kind, e, k]
 
     part2 = sum(term("S", 2 * t + 1, m - 4 * t - 2, n - 1) for t in range(p))
-    tail = binomial(m, m // 2) * fib(tail_index)
+    tail = binomial(m, m // 2) * (fib(tail_index) if f_tail is None else f_tail)
     out = {}
     for reading in readings:
         t_hi, j_hi = bounds[reading]
@@ -394,7 +412,7 @@ def closed_form_rhs(
         return _reduce(-total if n % 2 else total, 0, 2 * p + 1)
 
     if family in (IdentityFamily.T6, IdentityFamily.T7):
-        return _t6_t7_rhs(family, n, p, (reading,))[reading]
+        return _t6_t7_rhs(family, n, p, (reading,), _Rows())[reading]
 
     raise ValueError(f"{family.value} has no closed-form evaluator")
 
@@ -415,7 +433,7 @@ def cross_power_expansion(n: int, a, shift: int):
     a_shift, b_shift, power_sums = _cross_power_lists(a, shift, n)
     return (
         _cross_power_direct(n, a_shift, b_shift),
-        _cross_power_expanded(n, shift, power_sums),
+        _cross_power_expanded(coeff_row("Q" if shift == 1 else "S", n), power_sums),
     )
 
 
@@ -445,10 +463,10 @@ def _cross_power_direct(n: int, a_shift: list, b_shift: list):
     return sum(a_shift[n - j] * b_shift[j] for j in range(n + 1))
 
 
-def _cross_power_expanded(n: int, shift: int, power_sums: list):
-    """q(n,0) + sum_{c=1..n} q(n,c) (a^c + b^c), or the same with s."""
-    row = coeff_row("Q" if shift == 1 else "S", n)
-    return sum(row[c] * power_sums[c] for c in range(1, n + 1)) + row[0]
+def _cross_power_expanded(row: tuple[int, ...], power_sums: list):
+    """q(n,0) + sum_{c=1..n} q(n,c) (a^c + b^c) from row n of q, or the same
+    with s."""
+    return sum(row[c] * power_sums[c] for c in range(1, len(row))) + row[0]
 
 
 def _powers(x, n: int) -> list:
@@ -515,11 +533,11 @@ class AuditReport:
 
     def to_json(self) -> str:
         # The layout of json.dumps([e.as_dict() ...], indent=2), written
-        # entry by entry; strings go through json.dumps, which escapes them
-        # in C.
+        # entry by entry; strings are escaped by the C function that
+        # json.dumps itself calls for a str.
         if not self.entries:
             return "[]"
-        dumps = json.dumps
+        dumps = encode_basestring_ascii
         return "[\n" + ",\n".join(
             f'  {{\n    "family": {dumps(e.family)},\n'
             f'    "n": {"null" if e.n is None else e.n},\n'
@@ -611,8 +629,129 @@ _ADJUDICATION_NOTES = {
 
 
 class FastPathMismatch(RuntimeError):
-    """A column's binomial transform disagrees with the per-cell evaluation
-    at a sampled n: a fault of the program, not of a printed formula."""
+    """A dense column's transformed or carried value disagrees with the
+    per-cell evaluation at a sampled n: a fault of the program, not of a
+    printed formula."""
+
+
+def _caught(fn, *args):
+    """fn(*args), or the NotIntegral it raises, without its traceback: a
+    column keeps it, and a traceback would tie the column into a cycle of
+    frames."""
+    try:
+        return fn(*args)
+    except NotIntegral as exc:
+        return exc.with_traceback(None)
+
+
+def _outcome(value):
+    """What a sampled check compares: type and value, an exception's type
+    and message, or a dict of these by reading."""
+    if isinstance(value, dict):
+        return {key: _outcome(v) for key, v in value.items()}
+    if isinstance(value, Exception):
+        return type(value), str(value)
+    return type(value), value
+
+
+def _dot(xs, ys) -> int:
+    """sum_i xs[i] ys[i] over the shorter of the two."""
+    return sum(map(mul, xs, ys))
+
+
+def _geometric(ratios: list, first: list):
+    """Yield first, first*ratios, first*ratios^2, ... elementwise."""
+    while True:
+        yield first
+        first = list(map(mul, first, ratios))
+
+
+def _recurrent(first: list, second: list, mult: list, sign: list):
+    """Yield first, second, ... elementwise by x_{k+2} = mult x_{k+1} -
+    sign x_k.  With mult = L_d and sign = (-1)^d these are L_{dk} or F_{dk}
+    for k = 0, 1, 2, ...: X_{a+d} = L_d X_a - (-1)^d X_{a-d} for X = F, L."""
+    while True:
+        yield first
+        first, second = second, [m * y - s * x for m, s, x, y in zip(mult, sign, first, second)]
+
+
+def _carried_t2_t5(family: IdentityFamily, p: int):
+    """{"printed": closed form} of T2, T3 or T5 at n = 0, 1, 2, ..., one n
+    per step: the terms of closed_form_rhs summed as printed, with L_j^n or
+    F_j^n and L_{jn} carried from the previous n.  L_{jn} starts at L_0 = 2,
+    which also gives T3's j = 0."""
+    t3 = family is IdentityFamily.T3
+    if family is IdentityFamily.T2:
+        m, js = 4 * p, range(2 * p, 0, -1)
+    else:  # j = 2p+1 down to 0 (T3) or 1 (T5)
+        m, js = 4 * p + 2, range(2 * p + 1, -1 if t3 else 0, -1)
+    head = 0 if t3 else binomial(m, m // 2)
+    plain = [binomial(m, i) for i in range(len(js))]
+    signed = [(-1) ** i * c for i, c in enumerate(plain)]
+    l_j = [lucas(j) for j in js]
+    pows = _geometric([fib(j) for j in js] if t3 else l_j, [1] * len(js))
+    l_jn = _recurrent([2] * len(js), l_j, l_j, [(-1) ** j for j in js])
+    for n in count():
+        terms = map(mul, next(pows), next(l_jn))
+        total = head * 2**n + _dot(plain if n % 2 else signed, terms)
+        if family is IdentityFamily.T2:
+            yield {"printed": _reduce(total, 0, 2 * p)}
+        elif t3:
+            yield {"printed": _caught(_reduce, total, n, 2 * p + 1)}
+        else:
+            yield {"printed": _reduce(-total if n % 2 else total, 0, 2 * p + 1)}
+
+
+def _carried_t4(family: IdentityFamily, p: int, n0: int):
+    """{reading: closed form} of T4_EVEN or T4_ODD at n = n0, n0+2, ...:
+    L_{jn} and F_{jn} carried by X_{j(n+2)} = L_{2j} X_{jn} - X_{j(n-2)},
+    and F_j^n by F_j^2 per step.  The printed reading's F_{jn}^n changes
+    base with n, so it is taken per n."""
+    even = family is IdentityFamily.T4_EVEN
+    js = range(2 * p, -1, -1)
+    coeffs = [(-1) ** i * binomial(4 * p, i) for i in range(2 * p + 1)]
+    f_j = [fib(j) for j in js]
+    l_2j = [lucas(2 * j) for j in js]
+
+    def carried(x):  # x_{jn} for x = fib or lucas
+        first, second = [x(j * n0) for j in js], [x(j * (n0 + 2)) for j in js]
+        return _recurrent(first, second, l_2j, [1] * len(js))
+
+    l_jn, f_jn = carried(lucas), carried(fib)
+    pows = _geometric([f * f for f in f_j], [f**n0 for f in f_j])
+    for n in count(n0, 2):
+        l, f, f_j_n = next(l_jn), next(f_jn), next(pows)
+        sums = {"base-subscript": f_j_n, "printed": [x**n for x in f]}
+        yield {
+            reading: _caught(
+                _reduce, _dot(coeffs, map(mul, l if even else f, bases)),
+                n if even else n + 1, 2 * p,
+            )
+            for reading, bases in sums.items()
+        }
+
+
+def _carried_t6_t7(
+    family: IdentityFamily, p: int, readings, rows: _Rows, constants: dict, n_max: int
+):
+    """`_t6_t7_rhs` at n = 0, 1, 2, ..., each weighted sum a dot product of
+    its row with (1, L_e, L_2e, ..., L_{n_max e}), built once per index e of
+    `constants`: 1 stands in for L_0, since row[0] enters unweighted.  The
+    tail's F_{dn}, d = 2 (T6) or 1 (T7), is carried from the previous n."""
+    l_e = [l for _, l in constants.values()]
+    l_ej = _recurrent([2] * len(l_e), l_e, l_e, [(-1) ** e for e in constants])
+    table = zip(*islice(l_ej, n_max + 1))  # one tuple (L_0, L_e, ...) per e
+    weights = {e: (1, *column[1:]) for e, column in zip(constants, table)}
+    d = 2 if family is IdentityFamily.T6 else 1
+    f_dn = _recurrent([0], [fib(d)], [lucas(d)], [(-1) ** d])
+    for n in count():
+        yield _t6_t7_rhs(family, n, p, readings, rows, constants, weights, next(f_dn)[0])
+
+
+def _coordinates(xs: list) -> tuple[list, list]:
+    """The u and v lists of xs as ring elements (an int x is (2x, 0))."""
+    ring = [GoldenInt._coerce(x) for x in xs]
+    return [g.u for g in ring], [g.v for g in ring]
 
 
 class _Column:
@@ -621,18 +760,25 @@ class _Column:
     The column's first cell builds it, so that work is part of the cell;
     later cells read it, or carry forward from the previous n what depends
     on n.  Cells arrive in ascending n, the readings of one n adjacent.  A
-    column is dense when its n values are exactly 0..N: its left sides are
-    then read off one binomial transform, checked at n = N and N//2 against
-    `reference`, the per-cell evaluation that every other column uses.
+    column is dense when its n values are exactly 0..N, or for T4 every n
+    of one parity up to N.  It then takes its left sides from `fast_left`
+    and its right sides from `fast_forms`, and checks them at N and at its
+    middle n against `reference` and `reference_forms`, the per-cell
+    evaluation that every other column uses.  `rows` holds the q/s rows of
+    the whole audit.
     """
 
-    def __init__(self, family: IdentityFamily, p: int | None, n_values: tuple[int, ...]):
+    def __init__(self, family: IdentityFamily, p: int | None, n_values: tuple, rows: _Rows):
         self.family = family
         self.p = p
         self.n_values = n_values
-        self.dense = n_values == tuple(range(len(n_values)))
-        self.values = None  # a dense column's left sides, by n
+        self.rows = rows
+        step = 2 if family in (IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD) else 1
+        n_max = n_values[-1]
+        self.dense = n_values == tuple(range(n_max % step, n_max + 1, step))
+        self.sample = {n_max, n_values[(len(n_values) - 1) // 2]} if self.dense else ()
         self.last = None  # (n, left side, its rendering)
+        self.forms_at = None  # (n, {reading: right side, or its NotIntegral})
         self.built = False
 
     def left(self, n: int):
@@ -642,51 +788,78 @@ class _Column:
             self.build()
             self.built = True
         if self.last is None or self.last[0] != n:
-            value = self.reference(n) if self.values is None else self.values[n]
+            value = self.checked("left side", n, self.fast_left, self.reference)
             self.last = n, value, render_exact(value)
         return self.last[1:]
 
-    def use_dense(self, values) -> None:
-        """Take a dense column's left sides after checking them at N, N//2."""
-        n_max = len(values) - 1
-        for n in dict.fromkeys((n_max, n_max // 2)):
-            if values[n] != self.reference(n):
-                raise FastPathMismatch(
-                    f"{self.family.value} p={self.p}: the column's binomial transform "
-                    f"disagrees with the per-cell evaluation at n={n}"
-                )
-        self.values = values
+    def rhs(self, n: int, reading: str):
+        """The closed form of `reading` at n; the readings of one n are
+        evaluated together."""
+        if self.forms_at is None or self.forms_at[0] != n:
+            forms = self.checked("closed form", n, self.fast_forms, self.reference_forms)
+            self.forms_at = n, forms
+        value = self.forms_at[1][reading]
+        if isinstance(value, NotIntegral):
+            raise NotIntegral(*value.args)  # a copy, so the kept one stays free of frames
+        return value
+
+    def checked(self, what: str, n: int, fast, reference):
+        """fast(n) in a dense column, reference(n) in any other; at a sampled
+        n both, which must agree in type, value and NotIntegral message."""
+        if not self.dense:
+            return reference(n)
+        value = fast(n)
+        if n in self.sample and _outcome(value) != _outcome(reference(n)):
+            raise FastPathMismatch(
+                f"{self.family.value} p={self.p}: the column's {what} disagrees "
+                f"with the per-cell evaluation at n={n}"
+            )
+        return value
+
+    def fast_left(self, n: int):
+        return self.values[n]
 
 
 class _OracleColumn(_Column):
-    """T2..T7: the left side sum_k sigma^k C(n,k) F_k^P; T6/T7 evaluate the
-    readings of one n together."""
+    """T2..T7: the left side sum_k sigma^k C(n,k) F_k^P.  A dense column reads
+    it off one transform of length N+1 and takes its closed forms from
+    `_carried_t2_t5`, `_carried_t4` or `_carried_t6_t7`."""
 
     def build(self) -> None:
         power, self.sign = FAMILY_POWER_SIGN[self.family]
         self.power = power(self.p)
-        self.rhs_at = None  # (n, {reading: T6/T7 closed form})
+        self.readings = FAMILY_READINGS[self.family]
         if self.family in (IdentityFamily.T6, IdentityFamily.T7):
             self.constants = _t6_t7_constants(self.family, self.p)
-        if self.dense:
-            sigma = _sign_value(self.sign)
-            terms = []
-            s, fk, fk1 = 1, 0, 1
-            for _ in self.n_values:
-                terms.append(s * fk**self.power)
-                s, fk, fk1 = s * sigma, fk1, fk + fk1
-            self.use_dense(binomial_transform(Seq(tuple(terms))).values)
+        if not self.dense:
+            return
+        n_max = self.n_values[-1]
+        sigma = _sign_value(self.sign)
+        terms = []
+        s, fk, fk1 = 1, 0, 1
+        for _ in range(n_max + 1):
+            terms.append(s * fk**self.power)
+            s, fk, fk1 = s * sigma, fk1, fk + fk1
+        self.values = binomial_transform(Seq(tuple(terms))).values
+        if self.family in (IdentityFamily.T6, IdentityFamily.T7):
+            self.carried = _carried_t6_t7(
+                self.family, self.p, self.readings, self.rows, self.constants, n_max
+            )
+        elif self.family in (IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD):
+            self.carried = _carried_t4(self.family, self.p, self.n_values[0])
+        else:
+            self.carried = _carried_t2_t5(self.family, self.p)
 
     def reference(self, n: int) -> int:
         return fib_power_sum_oracle(n, self.power, self.sign)
 
-    def rhs(self, n: int, reading: str):
-        if self.family not in (IdentityFamily.T6, IdentityFamily.T7):
-            return closed_form_rhs(self.family, n, self.p, reading)
-        if self.rhs_at is None or self.rhs_at[0] != n:
-            readings = FAMILY_READINGS[self.family]
-            self.rhs_at = n, _t6_t7_rhs(self.family, n, self.p, readings, self.constants)
-        return self.rhs_at[1][reading]
+    def fast_forms(self, n: int) -> dict:
+        return next(self.carried)
+
+    def reference_forms(self, n: int) -> dict:
+        if self.family in (IdentityFamily.T6, IdentityFamily.T7):
+            return _t6_t7_rhs(self.family, n, self.p, self.readings, self.rows, self.constants)
+        return {r: _caught(closed_form_rhs, self.family, n, self.p, r) for r in self.readings}
 
 
 class _Prop1Column(_Column):
@@ -705,7 +878,7 @@ class _Prop1Column(_Column):
                 vs.append(wk.v * fk)
                 wk, fk, fk1 = wk * self.w, fk1, fk + fk1
             u, v = binomial_transform(Seq(tuple(us))), binomial_transform(Seq(tuple(vs)))
-            self.use_dense(tuple(map(GoldenInt, u, v)))
+            self.values = tuple(map(GoldenInt, u, v))
 
     def reference(self, n: int) -> GoldenInt:
         return _weighted_fib_sum(n, self.w)
@@ -718,32 +891,56 @@ class _Prop1Column(_Column):
 
 
 class _LemmaColumn(_Column):
-    """LEMMA5/LEMMA7 at a = phi: the power lists to the largest n, built once;
-    the direct and expanded sums stay literal per cell."""
+    """LEMMA5/LEMMA7 at a = phi: the power lists to the largest n, built once.
+    A dense column sums each side on the lists' integer coordinates and
+    makes one GoldenInt of it."""
 
     def build(self) -> None:
         self.shift = 1 if self.family is IdentityFamily.LEMMA5 else -1
+        self.kind = "Q" if self.shift == 1 else "S"
         self.a_shift, self.b_shift, self.power_sums = _cross_power_lists(
             PHI, self.shift, self.n_values[-1]
         )
+        if self.dense:
+            # Every list starts at the int 1, which also weighs row[0].
+            weights = [1, *self.power_sums[1:]]
+            self.coords = [_coordinates(xs) for xs in (self.a_shift, self.b_shift, weights)]
 
     def reference(self, n: int):
         return _cross_power_direct(n, self.a_shift, self.b_shift)
 
-    def rhs(self, n: int, reading: str):
-        return _cross_power_expanded(n, self.shift, self.power_sums)
+    def reference_forms(self, n: int) -> dict:
+        return {"printed": _cross_power_expanded(self.rows[self.kind, n], self.power_sums)}
+
+    def fast_left(self, n: int):
+        if not n:
+            return 1  # the one term 1*1, an int in `reference` too
+        (au, av), (bu, bv), _ = self.coords
+        au, av = au[n::-1], av[n::-1]
+        return GoldenInt(
+            (_dot(au, bu) + 5 * _dot(av, bv)) // 2, (_dot(au, bv) + _dot(av, bu)) // 2
+        )
+
+    def fast_forms(self, n: int) -> dict:
+        row = self.rows[self.kind, n]
+        if not n:
+            return {"printed": row[0]}  # q(0,0) = s(0,0) = 1, an int
+        su, sv = self.coords[2]
+        return {"printed": GoldenInt(_dot(row, su), _dot(row, sv))}
 
 
-def _column(family: IdentityFamily, p: int | None, n_values: tuple) -> _Column | None:
+def _column(
+    family: IdentityFamily, p: int | None, n_values: tuple, rows: _Rows
+) -> _Column | None:
     """The unbuilt state of a (family, p) column; None for REMARK1, whose
     cells share nothing."""
     if family.value.startswith("REMARK1_"):
         return None
     if family.value.startswith("PROP1_"):
-        return _Prop1Column(family, p, n_values)
+        return _Prop1Column(family, p, n_values, rows)
     if family in (IdentityFamily.LEMMA5, IdentityFamily.LEMMA7):
-        return _LemmaColumn(family, p, n_values)
-    return _OracleColumn(family, p, n_values)
+        return _LemmaColumn(family, p, n_values, rows)
+    return _OracleColumn(family, p, n_values, rows)
 
 
 def _audit_cell(
@@ -823,10 +1020,12 @@ def audit(families, n_range, p_range) -> AuditReport:
     verdicts.  The report is deterministic: its entries are in the order
     of `audit_cells`."""
     cells = audit_cells(families, n_range, p_range)
+    rows = _Rows()  # one coeff_row per (kind, n) for the whole call
     entries = []
     for (family, p), group in groupby(cells, key=lambda cell: (cell[0], cell[2])):
         group = list(group)
-        column = _column(family, p, tuple(dict.fromkeys(cell[1] for cell in group)))
+        n_values = tuple(dict.fromkeys(cell[1] for cell in group))
+        column = _column(family, p, n_values, rows)
         entries.extend(_audit_cell(*cell, column) for cell in group)
     notes = tuple(
         _ADJUDICATION_NOTES[f]

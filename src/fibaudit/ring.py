@@ -197,9 +197,3 @@ def to_integer(a: GoldenInt) -> int:
         raise NotIntegral(f"{a} is a half-integer")
     return a.u // 2
 
-
-def to_fraction(a: GoldenInt) -> Fraction:
-    """Extract the rational value of an element with no sqrt5 part."""
-    if a.v != 0:
-        raise NotRational(f"{a} has a sqrt5 component")
-    return Fraction(a.u, 2)

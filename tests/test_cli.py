@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -108,6 +109,39 @@ def test_audit_all_reports_failures(capsys):
 def test_audit_unknown_family(capsys):
     rc, _, err = run(capsys, "audit", "--families", "T99")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "families, message",
+    [
+        ("T2,T99", "unknown family 'T99' in --families 'T2,T99'"),
+        (",", "no family given"),
+        ("t2", "unknown family 't2' in --families 't2'"),
+    ],
+)
+def test_audit_bad_families_name_the_tag(capsys, families, message):
+    rc, out, err = run(capsys, "audit", "--families", families)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+# sha256 of the audit-grid report (all families, n <= 64, p <= 2) in each
+# format, taken from the per-cell right sides that the carried ones replace.
+_AUDIT_GRID_DIGESTS = {
+    "json": "68ed0d62b79f065bea11c2727c6e093e61364cbf8d9e8f9459cec5c3f631294b",
+    "csv": "b728902cebdb167617e4ecb3955733db23c8140148b84a484cef21654aa1b15c",
+    "text": "dbe692b7f9467f94a513aef6a56f25598636d7491b8f67e6547ad5316722e825",
+}
+
+
+@pytest.mark.parametrize("output_format", sorted(_AUDIT_GRID_DIGESTS))
+def test_audit_grid_report_digest(tmp_path, capsys, output_format):
+    path = tmp_path / f"audit-grid.{output_format}"
+    rc, out, _ = run(
+        capsys, "audit", "--families", "all", "--n-max", "64", "--p-max", "2",
+        "--format", output_format, "--out", str(path),
+    )
+    assert (rc, out) == (3, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _AUDIT_GRID_DIGESTS[output_format]
 
 
 def test_audit_out_file(tmp_path, capsys):

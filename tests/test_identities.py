@@ -3,6 +3,7 @@ import json
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, strategies as st
 
 from fibaudit import identities
 
@@ -327,8 +328,10 @@ def test_audit_dense_grid_calls_the_oracle_at_sample_cells_only(monkeypatch):
             if not ns:
                 continue
             if family in (F.T4_EVEN, F.T4_ODD):
-                # n of one parity: not dense, one oracle call per cell.
-                want += [(n, power(p), sign) for n in ns]
+                # Every n of one parity, 0..8 or 1..7: checked at the last
+                # n and the middle one.
+                assert ns == list(range(ns[0], 9, 2))
+                want += [(ns[-1], power(p), sign), (ns[(len(ns) - 1) // 2], power(p), sign)]
             else:
                 # Dense 0..8: checked at the sample cells n = 8 and 8//2.
                 assert ns == list(n_range)
@@ -367,9 +370,10 @@ def test_dense_columns_match_single_cell_audits(monkeypatch):
 
     monkeypatch.setattr(identities, "binomial_transform", counting_transform)
     report = audit(list(IdentityFamily), range(25), range(4))
-    # One transform per dense column and coordinate: T2 (p >= 1), T3, T5,
-    # T6, T7 and two per PROP1 column; T4's columns hold one parity of n.
-    assert transforms == [25] * (3 + 4 * 4 + 4 * 4 * 2)
+    # One transform per dense column and coordinate, in report order: two
+    # per PROP1 column, then T2 (p >= 1), T3, T4_EVEN and T4_ODD (p >= 1;
+    # n up to 24 and 23), T5, T6 and T7.
+    assert transforms == [25] * (4 * 4 * 2 + 3 + 4 + 3) + [24] * 3 + [25] * (3 * 4)
     dense = {(e.family, e.n, e.p, e.reading): e for e in report.entries}
     seen = set()
     for n in range(25):
@@ -403,24 +407,103 @@ def test_t4_even_column_matches_per_cell_evaluation():
         assert (e.lhs, e.rhs) == (render_exact(lhs), rhs), (e.n, e.p, e.reading)
 
 
-@pytest.mark.parametrize("family, bump", [(F.T2, 1), (F.T7, 1), (F.PROP1_812, 2)])
+_FAST_PATHS = [
+    (F.T2, 1), (F.T7, 1), (F.PROP1_812, 2),
+    (F.T3, 1), (F.T4_EVEN, 1), (F.T4_ODD, 1), (F.T5, 1), (F.T6, 1), (F.LEMMA5, 1), (F.LEMMA7, 1),
+]
+
+
+@pytest.mark.parametrize("family, bump", _FAST_PATHS)
 @pytest.mark.parametrize("at", ["last", "middle"])
 def test_fast_path_mismatch_is_raised(monkeypatch, family, bump, at):
-    """A transform entry off at a sampled n (N = 8 or N//2 = 4) is caught.
-    PROP1 is bumped by 2 in both coordinates, which keeps a ring element."""
-    real_transform = identities.binomial_transform
+    """A fast-path value off at a sampled n is caught.  The column is 0..8
+    (T4: 0,2,..,8 or 1,3,..,7), sampled at its last n and its middle one.
+    The left side is bumped in the binomial transform (PROP1 by 2 in both
+    coordinates, which keeps a ring element) or in LEMMA's coordinate sum;
+    the right side in the carried closed forms, which PROP1 does not
+    check.  A column that is not dense never takes a fast path."""
     sparse = audit([family], [2, 5, 8], [1])
+    ns = sorted({cell[1] for cell in audit_cells([family], range(9), [1])})
+    n = ns[-1] if at == "last" else ns[(len(ns) - 1) // 2]
+    lemma = family in (F.LEMMA5, F.LEMMA7)
+    column = identities._LemmaColumn if lemma else identities._OracleColumn
 
-    def broken_transform(seq):
-        values = list(real_transform(seq))
-        values[-1 if at == "last" else (len(values) - 1) // 2] += bump
-        return Seq(tuple(values))
+    with monkeypatch.context() as m:
+        if lemma:
+            real_left = column.fast_left
+            m.setattr(column, "fast_left", lambda self, k: real_left(self, k) + bump * (k == n))
+        else:
+            real_transform = identities.binomial_transform
 
-    monkeypatch.setattr(identities, "binomial_transform", broken_transform)
-    with pytest.raises(FastPathMismatch, match="n=" + ("8" if at == "last" else "4")):
+            def broken_transform(seq):
+                values = list(real_transform(seq))
+                values[n] += bump
+                return Seq(tuple(values))
+
+            m.setattr(identities, "binomial_transform", broken_transform)
+        with pytest.raises(FastPathMismatch, match=f"left side disagrees .* at n={n}$"):
+            audit([family], range(9), range(1, 2))
+        assert audit([family], [2, 5, 8], [1]) == sparse
+
+    if family.value.startswith("PROP1_"):
+        return
+    real_forms = column.fast_forms
+
+    def broken_forms(self, k):
+        forms = real_forms(self, k)
+        return {r: v + bump for r, v in forms.items()} if k == n else forms
+
+    monkeypatch.setattr(column, "fast_forms", broken_forms)
+    with pytest.raises(FastPathMismatch, match=f"closed form disagrees .* at n={n}$"):
         audit([family], range(9), range(1, 2))
-    # A column that is not dense never reads the transform.
     assert audit([family], [2, 5, 8], [1]) == sparse
+
+
+def test_fast_path_check_compares_notintegral_message_and_type(monkeypatch):
+    # T3 at p = 1 is NotIntegral at n = 1, 3, 5; a column 0..5 is sampled at
+    # n = 5 and 2.
+    real_forms = identities._OracleColumn.fast_forms
+
+    def reworded(self, n):
+        return {
+            r: NotIntegral(f"{v} ") if isinstance(v, NotIntegral) else v
+            for r, v in real_forms(self, n).items()
+        }
+
+    monkeypatch.setattr(identities._OracleColumn, "fast_forms", reworded)
+    with pytest.raises(FastPathMismatch, match="n=5$"):
+        audit([F.T3], range(6), [1])
+    # The ring element 1 equals the int 1, but LEMMA's n = 0 is an int.
+    monkeypatch.setattr(identities._LemmaColumn, "fast_left", lambda self, n: GoldenInt(2, 0))
+    with pytest.raises(FastPathMismatch, match="left side .* n=0$"):
+        audit([F.LEMMA5], range(1), [0])
+
+
+@pytest.mark.parametrize("family", [F.LEMMA5, F.LEMMA7])
+def test_lemma_n0_renders_the_int_1(family):
+    # n = 0 sampled (0..0) and carried (0..4, sampled at 4 and 2).
+    for n_range in (range(1), range(5)):
+        e = audit([family], n_range, [0]).entries[0]
+        assert (e.n, e.lhs, e.rhs, e.verdict) == (0, "1", "1", "PASS")
+    shift = 1 if family is F.LEMMA5 else -1
+    for e in audit([family], range(7), [0]).entries:
+        assert (e.lhs, e.rhs) == tuple(map(render_exact, cross_power_expansion(e.n, PHI, shift)))
+
+
+@pytest.mark.parametrize("n_range", [range(13), [3, 9]])
+def test_audit_builds_each_coeff_row_once(monkeypatch, n_range):
+    # T6/T7 read rows n-1 of both kinds, LEMMA5 the q row n, LEMMA7 the s row n.
+    calls = []
+    real_row = identities.coeff_row
+
+    def counting_row(kind, n):
+        calls.append((kind, n))
+        return real_row(kind, n)
+
+    monkeypatch.setattr(identities, "coeff_row", counting_row)
+    audit(list(IdentityFamily), n_range, range(3))
+    ns = set(n_range) | {n - 1 for n in n_range if n}
+    assert sorted(calls) == sorted((kind, n) for kind in "QS" for n in ns)
 
 
 def _reduce_reference(total, sqrt5_exp, five_exp):
@@ -494,6 +577,16 @@ def test_audit_json_matches_json_dumps():
     hand = AuditReport(entries=(odd, report.entries[0]))
     assert hand.to_json() == _json_reference(hand)
     assert json.loads(hand.to_json())[0] == odd.as_dict()
+
+
+_SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=[])
+_TEXT_WITH_LONE_SURROGATES = st.text(st.characters() | _SURROGATES)
+
+
+@given(_TEXT_WITH_LONE_SURROGATES)
+def test_audit_json_escapes_strings_as_json_dumps(text):
+    report = AuditReport(entries=(AuditEntry(text, None, 1, text, text, text, text, text),))
+    assert report.to_json() == _json_reference(report)
 
 
 def test_audit_cells_cover_readings():
