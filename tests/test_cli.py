@@ -124,8 +124,7 @@ def test_audit_bad_families_name_the_tag(capsys, families, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
-# sha256 of the audit-grid report (all families, n <= 64, p <= 2) in each
-# format, taken from the per-cell right sides that the carried ones replace.
+# sha256 of the audit-grid report (all families, n <= 64, p <= 2) in each format.
 _AUDIT_GRID_DIGESTS = {
     "json": "68ed0d62b79f065bea11c2727c6e093e61364cbf8d9e8f9459cec5c3f631294b",
     "csv": "b728902cebdb167617e4ecb3955733db23c8140148b84a484cef21654aa1b15c",
