@@ -115,139 +115,92 @@ def _random_seq(rng: random.Random, length: int) -> Seq:
 
 # Each suite takes its effective bound `top` = min(--n-max, its cap in
 # _VERIFY_SUITES): the largest index n it checks, so sequences have
-# length at most top + 1.
+# length at most top + 1.  It yields one bool per check, True if it holds.
 
 
 def _suite_round_trip(rng, top):
-    checks = fails = 0
     for _ in range(50):
         a = _random_seq(rng, rng.randint(1, top + 1))
-        checks += 2
-        if inverse_transform(binomial_transform(a)) != a:
-            fails += 1
-        if binomial_transform(inverse_transform(a)) != a:
-            fails += 1
-    return checks, fails
+        yield inverse_transform(binomial_transform(a)) == a
+        yield binomial_transform(inverse_transform(a)) == a
 
 
 def _suite_lemma1(rng, top):
-    checks = fails = 0
     b = _random_seq(rng, top + 1)
     for n in range(top + 1):
         for m in range(n + 1):
-            checks += 2
-            if nabla_direct(b, m, n) != nabla_sum(b, m, n):
-                fails += 1
-            lhs = binomial(n, m) * nabla_sum(b, m, n)
-            rhs = sum(
+            yield nabla_direct(b, m, n) == nabla_sum(b, m, n)
+            yield binomial(n, m) * nabla_sum(b, m, n) == sum(
                 binomial(n, j) * binomial(j, n - m) * (-1) ** (n - j) * b[j]
                 for j in range(n + 1)
             )
-            if lhs != rhs:
-                fails += 1
-    return checks, fails
 
 
 def _suite_lemma2(rng, top):
-    checks = fails = 0
     a = _random_seq(rng, top + 1)
     b = binomial_transform(a)
     for n in range(top + 1):
         for m in range(n + 1):
-            checks += 2
-            if lemma2_lhs(a, m, n) != nabla_sum(b, m, n):
-                fails += 1
-            weighted = sum(
+            yield lemma2_lhs(a, m, n) == nabla_sum(b, m, n)
+            yield sum(
                 binomial(n, k) * binomial(k, m) * a[k] for k in range(n + 1)
-            )
-            if weighted != binomial(n, m) * nabla_sum(b, m, n):
-                fails += 1
-    return checks, fails
+            ) == binomial(n, m) * nabla_sum(b, m, n)
 
 
 def _suite_lemma3(rng, top):
-    checks = fails = 0
     for n in range(1, top + 1):
         for m in range(1, n + 1):
-            checks += 1
-            if lemma3_sum(n, m) != Fraction((-1) ** m, m):
-                fails += 1
-    return checks, fails
+            yield lemma3_sum(n, m) == Fraction((-1) ** m, m)
 
 
 def _suite_theorem1(rng, top):
-    checks = fails = 0
     for _ in range(25):
         length = rng.randint(1, top + 1)
         a = _random_seq(rng, length)
         c = _random_seq(rng, length)
         lhs, rhs8, rhs81 = theorem1_eval(a, c)
-        checks += 1
-        if not (lhs == rhs8 == rhs81):
-            fails += 1
-    return checks, fails
+        yield lhs == rhs8 == rhs81
 
 
 _COROLLARY_XS = (0, 1, -1, Fraction(1, 2), 2, PHI, PSI)
 
 
-def _suite_corollary1(rng, top):
-    checks = fails = 0
-    for _ in range(15):
-        e = _random_seq(rng, rng.randint(1, top + 1))
-        for x in _COROLLARY_XS:
-            lhs, rhs = corollary1_eval(e, x)
-            checks += 1
-            if lhs != rhs:
-                fails += 1
-    return checks, fails
-
-
-def _suite_corollary2(rng, top):
-    checks = fails = 0
+def _suite_corollary(evaluate, rng, top):
+    """Corollary 1 or 2, as `evaluate` (corollary1_eval or corollary2_eval)
+    gives both sides."""
     for _ in range(15):
         a = _random_seq(rng, rng.randint(1, top + 1))
         for x in _COROLLARY_XS:
-            lhs, rhs = corollary2_eval(a, x)
-            checks += 1
-            if lhs != rhs:
-                fails += 1
-    return checks, fails
+            lhs, rhs = evaluate(a, x)
+            yield lhs == rhs
 
 
 def _suite_gould(rng, top):
-    checks = fails = 0
     for n in range(top + 1):
         for m in range(n + 1):
             for l in range(n + 1):
-                checks += 1
-                lhs = sum(
+                yield sum(
                     binomial(m, k) * binomial(n - k, l) * (-1) ** k
                     for k in range(m + 1)
-                )
-                if lhs != binomial(n - m, l - m):
-                    fails += 1
+                ) == binomial(n - m, l - m)
     for n in range(1, top + 1):
         for m in range(1, n + 1):
-            checks += 1
-            lhs = sum(
+            yield sum(
                 binomial(n - m, j) * (-1) ** j * Fraction(m, m + j)
                 for j in range(n - m + 1)
-            )
-            if lhs != Fraction(1, binomial(n, n - m)):
-                fails += 1
-    return checks, fails
+            ) == Fraction(1, binomial(n, n - m))
 
 
-# (name, suite, cap on the suite's n)
+# (name, suite, cap on the suite's n); the corollary suites look their
+# evaluator up when they run, so a wrapped one is seen.
 _VERIFY_SUITES = (
     ("round_trip", _suite_round_trip, 63),
     ("lemma1", _suite_lemma1, 32),
     ("lemma2", _suite_lemma2, 32),
     ("lemma3", _suite_lemma3, 30),
     ("theorem1", _suite_theorem1, 15),
-    ("corollary1", _suite_corollary1, 12),
-    ("corollary2", _suite_corollary2, 12),
+    ("corollary1", lambda rng, top: _suite_corollary(corollary1_eval, rng, top), 12),
+    ("corollary2", lambda rng, top: _suite_corollary(corollary2_eval, rng, top), 12),
     ("gould", _suite_gould, 20),
 )
 
@@ -259,10 +212,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     any_fail = False
     for name, suite, cap in _VERIFY_SUITES:
         top = min(args.n_max, cap)
-        checks, fails = suite(rng, top)
-        status = "PASS" if fails == 0 else "FAIL"
+        results = list(suite(rng, top))
+        fails = results.count(False)
         any_fail = any_fail or fails > 0
-        lines.append(f"{status} {name} ({checks} checks, {fails} failures)")
+        status = "FAIL" if fails else "PASS"
+        lines.append(f"{status} {name} ({len(results)} checks, {fails} failures)")
         bounds.append(f"{name}={top}")
     print(
         f"verify: n bounds for --n-max {args.n_max}: " + " ".join(bounds),

@@ -7,23 +7,25 @@ suspect subscripts, as sub-variant "readings") and compared against the
 brute-force oracle; disagreements are reported as FAIL verdicts, never
 silently corrected.
 
-`audit` evaluates its grid one (family, p) column at a time.  What depends
-only on (family, p) is built once by the column's first cell, and what
-depends on n is carried from the previous n; the q/s rows are built once
-per (kind, n) for the whole call.  A column is dense when its n values are
-exactly 0..N, the shape of every CLI audit, or for T4 every n of one parity
-up to N.  Its left sides, sum_k C(n,k) sigma^k F_k^P for T2..T7 and
-sum_k C(n,k) w^k F_k for PROP1, are then read off one binomial transform.
-Its right sides are carried too: the Fibonacci and Lucas factors of T2..T5
-step from one n to the next, T6/T7 take dot products of the shared rows
-with Lucas lists built once per column, and LEMMA5/7 sum both sides on
-integer coordinates.  At n = N and at the column's middle n the left side
-and every right side but PROP1's carried one are recomputed per cell
+`audit` evaluates its grid one (family, p) column at a time.  Each column
+gives its sides two ways, each as (left side, {reading: right side, or the
+NotIntegral/NotDivisible it raised}): `reference(n)` evaluates one cell
 (`fib_power_sum_oracle`, `closed_form_rhs`, `_lucas_weighted_sum`, the
-direct LEMMA and PROP1 sums); a disagreement in value, type or NotIntegral
-message raises FastPathMismatch, which the CLI reports on one stderr line
-with exit 1.  Other columns, such as a single large n, evaluate each cell
-by those per-cell routes.
+direct LEMMA and PROP1 sums), and `dense_sides()` iterates over the
+column's n values.  What depends only on (family, p) is built once by the
+column's first cell, and the q/s rows once per (kind, n) for the whole
+call.  A column is dense when its n values are exactly 0..N, the shape of
+every CLI audit, or for T4 every n of one parity up to N.  Its left sides,
+sum_k C(n,k) sigma^k F_k^P for T2..T7 and sum_k C(n,k) w^k F_k for PROP1,
+are then read off one binomial transform, and its right sides are carried
+from one n to the next: the Fibonacci and Lucas factors of T2..T5 and
+PROP1's numerator powers step, T6/T7 take dot products of the shared rows
+with Lucas lists built once per column, and LEMMA5/7 sum both sides on
+integer coordinates.  `_Column.sides(n)` takes the next dense value, or in
+any other column (such as a single large n) calls `reference(n)`; at n = N
+and at the column's middle n it takes both, and a disagreement in value,
+type or exception message raises FastPathMismatch, which the CLI reports
+on one stderr line with exit 1.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from fractions import Fraction
 from itertools import count, groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import mul
+from typing import NamedTuple
 
 from .ring import (
     GoldenInt,
@@ -498,8 +501,7 @@ def render_exact(x) -> str:
     raise TypeError(f"cannot render {type(x).__name__} exactly")
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     family: str
     n: int | None
     p: int | None
@@ -510,16 +512,7 @@ class AuditEntry:
     note: str
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "p": self.p,
-            "reading": self.reading,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -635,12 +628,12 @@ class FastPathMismatch(RuntimeError):
 
 
 def _caught(fn, *args):
-    """fn(*args), or the NotIntegral it raises, without its traceback: a
-    column keeps it, and a traceback would tie the column into a cycle of
-    frames."""
+    """fn(*args), or the NotIntegral or NotDivisible it raises, without its
+    traceback: a column keeps it, and a traceback would tie the column into
+    a cycle of frames."""
     try:
         return fn(*args)
-    except NotIntegral as exc:
+    except (NotIntegral, NotDivisible) as exc:
         return exc.with_traceback(None)
 
 
@@ -748,6 +741,21 @@ def _carried_t6_t7(
         yield _t6_t7_rhs(family, n, p, readings, rows, constants, weights, next(f_dn)[0])
 
 
+def _carried_lemma(a_shift: list, b_shift: list, weights: list, rows: _Rows, kind: str):
+    """Both sides of LEMMA5 (kind Q) or LEMMA7 (kind S) at n = 0, 1, 2, ...,
+    each summed on the integer coordinates of the lists and made one
+    GoldenInt.  At n = 0 each side is the int 1, as in the per-cell sums."""
+    (au, av), (bu, bv), (su, sv) = map(_coordinates, (a_shift, b_shift, weights))
+    yield 1, {"printed": rows[kind, 0][0]}  # the one term 1*1; q(0,0) = s(0,0) = 1
+    for n in count(1):
+        row = rows[kind, n]
+        ru, rv = au[n::-1], av[n::-1]
+        left = GoldenInt(
+            (_dot(ru, bu) + 5 * _dot(rv, bv)) // 2, (_dot(ru, bv) + _dot(rv, bu)) // 2
+        )
+        yield left, {"printed": GoldenInt(_dot(row, su), _dot(row, sv))}
+
+
 def _coordinates(xs: list) -> tuple[list, list]:
     """The u and v lists of xs as ring elements (an int x is (2x, 0))."""
     ring = [GoldenInt._coerce(x) for x in xs]
@@ -755,17 +763,15 @@ def _coordinates(xs: list) -> tuple[list, list]:
 
 
 class _Column:
-    """State shared by the cells of one (family, p) column of an audit.
+    """The cells of one (family, p) column of an audit, in ascending n.
 
-    The column's first cell builds it, so that work is part of the cell;
-    later cells read it, or carry forward from the previous n what depends
-    on n.  Cells arrive in ascending n, the readings of one n adjacent.  A
-    column is dense when its n values are exactly 0..N, or for T4 every n
-    of one parity up to N.  It then takes its left sides from `fast_left`
-    and its right sides from `fast_forms`, and checks them at N and at its
-    middle n against `reference` and `reference_forms`, the per-cell
-    evaluation that every other column uses.  `rows` holds the q/s rows of
-    the whole audit.
+    A subclass gives the sides at n, (left side, {reading: right side}),
+    two ways: `reference(n)` per cell, and `dense_sides()` over the n
+    values of a dense column (0..N, or for T4 every n of one parity up to
+    N).  `build` sets what depends on (family, p) alone.  The dense
+    iterator must not hold its column: a generator method would keep
+    `self` in its frame, a cycle that only the cyclic GC frees.  `rows`
+    holds the q/s rows of the whole audit.
     """
 
     def __init__(self, family: IdentityFamily, p: int | None, n_values: tuple, rows: _Rows):
@@ -777,53 +783,42 @@ class _Column:
         n_max = n_values[-1]
         self.dense = n_values == tuple(range(n_max % step, n_max + 1, step))
         self.sample = {n_max, n_values[(len(n_values) - 1) // 2]} if self.dense else ()
-        self.last = None  # (n, left side, its rendering)
-        self.forms_at = None  # (n, {reading: right side, or its NotIntegral})
-        self.built = False
+        self.fast = None  # dense_sides() of a dense column
+        self.memo = None  # (n, left side, its rendering, right sides)
 
-    def left(self, n: int):
-        """The left side at n and its rendering, each computed once per n;
-        the first call builds the column."""
-        if not self.built:
+    def sides(self, n: int) -> tuple:
+        """(left side, its rendering, {reading: right side, or the
+        NotIntegral/NotDivisible it raised}) at n, computed once per n.  The
+        first call builds the column, so that work is part of its first
+        cell.  A dense column takes `dense_sides` and checks it against
+        `reference` at N and at its middle n; any other takes `reference`."""
+        if self.memo is None:
             self.build()
-            self.built = True
-        if self.last is None or self.last[0] != n:
-            value = self.checked("left side", n, self.fast_left, self.reference)
-            self.last = n, value, render_exact(value)
-        return self.last[1:]
-
-    def rhs(self, n: int, reading: str):
-        """The closed form of `reading` at n; the readings of one n are
-        evaluated together."""
-        if self.forms_at is None or self.forms_at[0] != n:
-            forms = self.checked("closed form", n, self.fast_forms, self.reference_forms)
-            self.forms_at = n, forms
-        value = self.forms_at[1][reading]
-        if isinstance(value, NotIntegral):
-            raise NotIntegral(*value.args)  # a copy, so the kept one stays free of frames
-        return value
-
-    def checked(self, what: str, n: int, fast, reference):
-        """fast(n) in a dense column, reference(n) in any other; at a sampled
-        n both, which must agree in type, value and NotIntegral message."""
-        if not self.dense:
-            return reference(n)
-        value = fast(n)
-        if n in self.sample and _outcome(value) != _outcome(reference(n)):
-            raise FastPathMismatch(
-                f"{self.family.value} p={self.p}: the column's {what} disagrees "
-                f"with the per-cell evaluation at n={n}"
-            )
-        return value
-
-    def fast_left(self, n: int):
-        return self.values[n]
+            self.fast = self.dense_sides() if self.dense else None
+        elif self.memo[0] == n:
+            return self.memo[1:]
+        if self.fast is None:
+            lhs, forms = self.reference(n)
+        else:
+            lhs, forms = next(self.fast)
+            if n in self.sample:
+                sides = ("left side", lhs), ("closed form", forms)
+                for (what, value), ref in zip(sides, self.reference(n)):
+                    if _outcome(value) != _outcome(ref):
+                        raise FastPathMismatch(
+                            f"{self.family.value} p={self.p}: the column's {what} "
+                            f"disagrees with the per-cell evaluation at n={n}"
+                        )
+        self.memo = n, lhs, render_exact(lhs), forms
+        return self.memo[1:]
 
 
 class _OracleColumn(_Column):
     """T2..T7: the left side sum_k sigma^k C(n,k) F_k^P.  A dense column reads
     it off one transform of length N+1 and takes its closed forms from
-    `_carried_t2_t5`, `_carried_t4` or `_carried_t6_t7`."""
+    `_carried_t2_t5`, `_carried_t4` or `_carried_t6_t7`; a cell takes the
+    oracle and `closed_form_rhs`, or `_t6_t7_rhs` with the column's
+    constants."""
 
     def build(self) -> None:
         power, self.sign = FAMILY_POWER_SIGN[self.family]
@@ -831,69 +826,68 @@ class _OracleColumn(_Column):
         self.readings = FAMILY_READINGS[self.family]
         if self.family in (IdentityFamily.T6, IdentityFamily.T7):
             self.constants = _t6_t7_constants(self.family, self.p)
-        if not self.dense:
-            return
-        n_max = self.n_values[-1]
+
+    def reference(self, n: int) -> tuple:
+        lhs = fib_power_sum_oracle(n, self.power, self.sign)
+        if self.family in (IdentityFamily.T6, IdentityFamily.T7):
+            return lhs, _t6_t7_rhs(self.family, n, self.p, self.readings, self.rows, self.constants)
+        return lhs, {r: _caught(closed_form_rhs, self.family, n, self.p, r) for r in self.readings}
+
+    def dense_sides(self):
+        n0, n_max = self.n_values[0], self.n_values[-1]
         sigma = _sign_value(self.sign)
         terms = []
         s, fk, fk1 = 1, 0, 1
         for _ in range(n_max + 1):
             terms.append(s * fk**self.power)
             s, fk, fk1 = s * sigma, fk1, fk + fk1
-        self.values = binomial_transform(Seq(tuple(terms))).values
+        values = binomial_transform(Seq(tuple(terms))).values
         if self.family in (IdentityFamily.T6, IdentityFamily.T7):
-            self.carried = _carried_t6_t7(
+            forms = _carried_t6_t7(
                 self.family, self.p, self.readings, self.rows, self.constants, n_max
             )
         elif self.family in (IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD):
-            self.carried = _carried_t4(self.family, self.p, self.n_values[0])
+            values, forms = values[n0::2], _carried_t4(self.family, self.p, n0)
         else:
-            self.carried = _carried_t2_t5(self.family, self.p)
-
-    def reference(self, n: int) -> int:
-        return fib_power_sum_oracle(n, self.power, self.sign)
-
-    def fast_forms(self, n: int) -> dict:
-        return next(self.carried)
-
-    def reference_forms(self, n: int) -> dict:
-        if self.family in (IdentityFamily.T6, IdentityFamily.T7):
-            return _t6_t7_rhs(self.family, n, self.p, self.readings, self.rows, self.constants)
-        return {r: _caught(closed_form_rhs, self.family, n, self.p, r) for r in self.readings}
+            forms = _carried_t2_t5(self.family, self.p)
+        return zip(values, forms)
 
 
 class _Prop1Column(_Column):
-    """PROP1: the left side sum_k C(n,k) w^k F_k; the closed form's two
-    numerator powers are carried from one n to the next."""
+    """PROP1: the left side sum_k C(n,k) w^k F_k and the closed form
+    (eps_a a^n - eps_b b^n)/sqrt5.  A dense column reads the left side off
+    one transform per coordinate and carries a^n and b^n; a cell takes
+    `_weighted_fib_sum` and a**n, b**n."""
 
     def build(self) -> None:
         variant = int(self.family.value.split("_")[1])
-        self.w, (self.a, self.a_alt), (self.b, self.b_alt) = _prop1_terms(self.p, variant)
-        self.at, self.a_pow, self.b_pow = 0, ONE, ONE  # a^at, b^at
-        if self.dense:
-            us, vs = [], []
-            wk, fk, fk1 = ONE, 0, 1
-            for _ in self.n_values:
-                us.append(wk.u * fk)
-                vs.append(wk.v * fk)
-                wk, fk, fk1 = wk * self.w, fk1, fk + fk1
-            u, v = binomial_transform(Seq(tuple(us))), binomial_transform(Seq(tuple(vs)))
-            self.values = tuple(map(GoldenInt, u, v))
+        self.w, self.a, self.b = _prop1_terms(self.p, variant)
 
-    def reference(self, n: int) -> GoldenInt:
-        return _weighted_fib_sum(n, self.w)
+    def reference(self, n: int) -> tuple:
+        (a, a_alt), (b, b_alt) = self.a, self.b
+        rhs = _caught(_prop1_rhs, n, a**n, a_alt, b**n, b_alt)
+        return _weighted_fib_sum(n, self.w), {"printed": rhs}
 
-    def rhs(self, n: int, reading: str) -> GoldenInt:
-        step, self.at = n - self.at, n
-        self.a_pow = self.a_pow * (self.a if step == 1 else ring_pow(self.a, step))
-        self.b_pow = self.b_pow * (self.b if step == 1 else ring_pow(self.b, step))
-        return _prop1_rhs(n, self.a_pow, self.a_alt, self.b_pow, self.b_alt)
+    def dense_sides(self):
+        us, vs = [], []
+        wk, fk, fk1 = ONE, 0, 1
+        for _ in self.n_values:
+            us.append(wk.u * fk)
+            vs.append(wk.v * fk)
+            wk, fk, fk1 = wk * self.w, fk1, fk + fk1
+        u, v = binomial_transform(Seq(tuple(us))), binomial_transform(Seq(tuple(vs)))
+        (a, a_alt), (b, b_alt) = self.a, self.b
+        forms = (
+            {"printed": _caught(_prop1_rhs, n, a_n, a_alt, b_n, b_alt)}
+            for n, (a_n, b_n) in enumerate(_geometric([a, b], [ONE, ONE]))
+        )
+        return zip(map(GoldenInt, u, v), forms)
 
 
 class _LemmaColumn(_Column):
     """LEMMA5/LEMMA7 at a = phi: the power lists to the largest n, built once.
-    A dense column sums each side on the lists' integer coordinates and
-    makes one GoldenInt of it."""
+    A dense column takes both sides from `_carried_lemma`; a cell takes
+    `_cross_power_direct` and `_cross_power_expanded`."""
 
     def build(self) -> None:
         self.shift = 1 if self.family is IdentityFamily.LEMMA5 else -1
@@ -901,32 +895,15 @@ class _LemmaColumn(_Column):
         self.a_shift, self.b_shift, self.power_sums = _cross_power_lists(
             PHI, self.shift, self.n_values[-1]
         )
-        if self.dense:
-            # Every list starts at the int 1, which also weighs row[0].
-            weights = [1, *self.power_sums[1:]]
-            self.coords = [_coordinates(xs) for xs in (self.a_shift, self.b_shift, weights)]
 
-    def reference(self, n: int):
-        return _cross_power_direct(n, self.a_shift, self.b_shift)
+    def reference(self, n: int) -> tuple:
+        rhs = _cross_power_expanded(self.rows[self.kind, n], self.power_sums)
+        return _cross_power_direct(n, self.a_shift, self.b_shift), {"printed": rhs}
 
-    def reference_forms(self, n: int) -> dict:
-        return {"printed": _cross_power_expanded(self.rows[self.kind, n], self.power_sums)}
-
-    def fast_left(self, n: int):
-        if not n:
-            return 1  # the one term 1*1, an int in `reference` too
-        (au, av), (bu, bv), _ = self.coords
-        au, av = au[n::-1], av[n::-1]
-        return GoldenInt(
-            (_dot(au, bu) + 5 * _dot(av, bv)) // 2, (_dot(au, bv) + _dot(av, bu)) // 2
-        )
-
-    def fast_forms(self, n: int) -> dict:
-        row = self.rows[self.kind, n]
-        if not n:
-            return {"printed": row[0]}  # q(0,0) = s(0,0) = 1, an int
-        su, sv = self.coords[2]
-        return {"printed": GoldenInt(_dot(row, su), _dot(row, sv))}
+    def dense_sides(self):
+        # Every list starts at the int 1, which also weighs row[0].
+        weights = [1, *self.power_sums[1:]]
+        return _carried_lemma(self.a_shift, self.b_shift, weights, self.rows, self.kind)
 
 
 def _column(
@@ -943,6 +920,13 @@ def _column(
     return _OracleColumn(family, p, n_values, rows)
 
 
+#: The FAIL note of a closed form that raised, by exception type.
+_RAISED_NOTES = {
+    NotIntegral: "closed form is not a rational integer",
+    NotDivisible: "closed form not divisible by sqrt5",
+}
+
+
 def _audit_cell(
     family: IdentityFamily, n: int | None, p: int | None, reading: str,
     column: _Column | None,
@@ -952,29 +936,19 @@ def _audit_cell(
     `column` is the state shared by the cells of this (family, p); the
     column's first cell builds it.
     """
-    note = ""
     if column is None:
         lhs, rhs = remark1_relation(p, int(family.value.split("_")[1]))
         lhs_text = render_exact(lhs)
     else:
-        lhs, lhs_text = column.left(n)
-        try:
-            rhs = column.rhs(n, reading)
-        except NotDivisible as exc:
-            return AuditEntry(
-                family.value, n, p, reading, "", "", "FAIL",
-                f"closed form not divisible by sqrt5: {exc}",
-            )
-        except NotIntegral as exc:
-            return AuditEntry(
-                family.value, n, p, reading, lhs_text, str(exc), "FAIL",
-                "closed form is not a rational integer",
-            )
-    verdict = "PASS" if lhs == rhs else "FAIL"
-    if verdict == "FAIL":
-        note = "printed form disagrees with the brute-force oracle"
+        lhs, lhs_text, forms = column.sides(n)
+        rhs = forms[reading]
+    if isinstance(rhs, Exception):
+        rhs_text, note = str(rhs), _RAISED_NOTES[type(rhs)]
+    else:
+        rhs_text = render_exact(rhs)
+        note = "" if lhs == rhs else "printed form disagrees with the brute-force oracle"
     return AuditEntry(
-        family.value, n, p, reading, lhs_text, render_exact(rhs), verdict, note
+        family.value, n, p, reading, lhs_text, rhs_text, "FAIL" if note else "PASS", note
     )
 
 

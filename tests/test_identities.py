@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 from fractions import Fraction
@@ -27,7 +29,7 @@ from fibaudit.identities import (
     remark1_relation,
     render_exact,
 )
-from fibaudit.ring import GoldenInt, NotIntegral, PHI
+from fibaudit.ring import GoldenInt, NotDivisible, NotIntegral, PHI, div_sqrt5
 from fibaudit.sequences import coeff_row, fib, lucas
 from fibaudit.transforms import Seq
 
@@ -413,70 +415,124 @@ _FAST_PATHS = [
 ]
 
 
+def _column_class(family):
+    if family.value.startswith("PROP1_"):
+        return identities._Prop1Column
+    if family in (F.LEMMA5, F.LEMMA7):
+        return identities._LemmaColumn
+    return identities._OracleColumn
+
+
+def _patch_dense_sides(monkeypatch, column_class, change):
+    """Pass each (n, left side, right sides) of the class's dense_sides
+    through change(n, lhs, forms), which returns the new (lhs, forms)."""
+    real = column_class.dense_sides
+
+    def patched(self):
+        return (change(n, *sides) for n, sides in zip(self.n_values, real(self)))
+
+    monkeypatch.setattr(column_class, "dense_sides", patched)
+
+
 @pytest.mark.parametrize("family, bump", _FAST_PATHS)
 @pytest.mark.parametrize("at", ["last", "middle"])
 def test_fast_path_mismatch_is_raised(monkeypatch, family, bump, at):
-    """A fast-path value off at a sampled n is caught.  The column is 0..8
-    (T4: 0,2,..,8 or 1,3,..,7), sampled at its last n and its middle one.
-    The left side is bumped in the binomial transform (PROP1 by 2 in both
-    coordinates, which keeps a ring element) or in LEMMA's coordinate sum;
-    the right side in the carried closed forms, which PROP1 does not
-    check.  A column that is not dense never takes a fast path."""
+    """A dense value off at a sampled n is caught, on either side.  The
+    column is 0..8 (T4: 0,2,..,8 or 1,3,..,7), sampled at its last n and
+    its middle one.  `dense_sides` is bumped at that n, first in the left
+    side (PROP1 by 2, which keeps a ring element), then in every closed
+    form, PROP1's included.  A column that is not dense never takes it."""
     sparse = audit([family], [2, 5, 8], [1])
     ns = sorted({cell[1] for cell in audit_cells([family], range(9), [1])})
     n = ns[-1] if at == "last" else ns[(len(ns) - 1) // 2]
-    lemma = family in (F.LEMMA5, F.LEMMA7)
-    column = identities._LemmaColumn if lemma else identities._OracleColumn
 
-    with monkeypatch.context() as m:
-        if lemma:
-            real_left = column.fast_left
-            m.setattr(column, "fast_left", lambda self, k: real_left(self, k) + bump * (k == n))
-        else:
-            real_transform = identities.binomial_transform
+    def bump_left(k, lhs, forms):
+        return (lhs + bump if k == n else lhs), forms
 
-            def broken_transform(seq):
-                values = list(real_transform(seq))
-                values[n] += bump
-                return Seq(tuple(values))
+    def bump_forms(k, lhs, forms):
+        return lhs, ({r: v + bump for r, v in forms.items()} if k == n else forms)
 
-            m.setattr(identities, "binomial_transform", broken_transform)
-        with pytest.raises(FastPathMismatch, match=f"left side disagrees .* at n={n}$"):
-            audit([family], range(9), range(1, 2))
-        assert audit([family], [2, 5, 8], [1]) == sparse
-
-    if family.value.startswith("PROP1_"):
-        return
-    real_forms = column.fast_forms
-
-    def broken_forms(self, k):
-        forms = real_forms(self, k)
-        return {r: v + bump for r, v in forms.items()} if k == n else forms
-
-    monkeypatch.setattr(column, "fast_forms", broken_forms)
-    with pytest.raises(FastPathMismatch, match=f"closed form disagrees .* at n={n}$"):
-        audit([family], range(9), range(1, 2))
-    assert audit([family], [2, 5, 8], [1]) == sparse
+    for side, change in (("left side", bump_left), ("closed form", bump_forms)):
+        with monkeypatch.context() as m:
+            _patch_dense_sides(m, _column_class(family), change)
+            with pytest.raises(FastPathMismatch, match=f"{side} disagrees .* at n={n}$"):
+                audit([family], range(9), range(1, 2))
+            assert audit([family], [2, 5, 8], [1]) == sparse
 
 
 def test_fast_path_check_compares_notintegral_message_and_type(monkeypatch):
     # T3 at p = 1 is NotIntegral at n = 1, 3, 5; a column 0..5 is sampled at
     # n = 5 and 2.
-    real_forms = identities._OracleColumn.fast_forms
+    for make in (lambda v: NotIntegral(f"{v} "), lambda v: NotDivisible(str(v))):
+        def reraised(n, lhs, forms):
+            return lhs, {
+                r: make(v) if isinstance(v, NotIntegral) else v for r, v in forms.items()
+            }
 
-    def reworded(self, n):
-        return {
-            r: NotIntegral(f"{v} ") if isinstance(v, NotIntegral) else v
-            for r, v in real_forms(self, n).items()
-        }
-
-    monkeypatch.setattr(identities._OracleColumn, "fast_forms", reworded)
-    with pytest.raises(FastPathMismatch, match="n=5$"):
-        audit([F.T3], range(6), [1])
+        with monkeypatch.context() as m:
+            _patch_dense_sides(m, identities._OracleColumn, reraised)
+            with pytest.raises(FastPathMismatch, match="closed form .* n=5$"):
+                audit([F.T3], range(6), [1])
     # The ring element 1 equals the int 1, but LEMMA's n = 0 is an int.
-    monkeypatch.setattr(identities._LemmaColumn, "fast_left", lambda self, n: GoldenInt(2, 0))
+    _patch_dense_sides(
+        monkeypatch, identities._LemmaColumn, lambda n, lhs, forms: (GoldenInt(2, 0), forms)
+    )
     with pytest.raises(FastPathMismatch, match="left side .* n=0$"):
         audit([F.LEMMA5], range(1), [0])
+
+
+@pytest.mark.parametrize("n_range", [range(9), [2, 5, 8]])
+def test_no_column_outlives_its_audit(monkeypatch, n_range):
+    """Every column is freed by reference counting alone when `audit`
+    returns: nothing it keeps, dense iterator or kept exception, refers
+    back to it."""
+    refs = []
+    real_column = identities._column
+
+    def recording_column(*args):
+        column = real_column(*args)
+        if column is not None:
+            refs.append(weakref.ref(column))
+        return column
+
+    monkeypatch.setattr(identities, "_column", recording_column)
+    gc.collect()
+    gc.disable()
+    try:
+        report = audit(list(IdentityFamily), n_range, range(3))
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert any(e.note == "closed form is not a rational integer" for e in report.entries)
+    assert len(refs) == 4 * 3 + 2 + 4 * 3 + 3 * 2  # PROP1, LEMMA, T3/T5/T6/T7, T2/T4
+    assert alive == 0
+
+
+@pytest.mark.parametrize("n_range", [range(6), [0, 2, 5]])
+def test_notdivisible_closed_form_fails_with_both_values(monkeypatch, n_range):
+    """A PROP1 numerator that is no sqrt5 multiple gives a FAIL row that
+    carries the left side and the exception's message, in a dense column
+    (0..5, sampled at 5 and 2) and in a sparse one.  Here the numerator is
+    2^n - 0^n: zero at n = 0, and a power of 2 after."""
+    real_terms = identities._prop1_terms
+    w = real_terms(1, 811)[0]
+
+    def terms(p, variant):
+        return real_terms(p, variant)[0], (GoldenInt(4, 0), False), (GoldenInt(0, 0), False)
+
+    monkeypatch.setattr(identities, "_prop1_terms", terms)
+    entries = audit([F.PROP1_811], n_range, [1]).entries
+    assert [e.n for e in entries] == list(n_range)
+    for e in entries:
+        lhs = render_exact(identities._weighted_fib_sum(e.n, w))
+        if e.n == 0:
+            assert (e.lhs, e.rhs, e.verdict, e.note) == (lhs, lhs, "PASS", "")
+            continue
+        with pytest.raises(NotDivisible) as raised:
+            div_sqrt5(GoldenInt(4, 0) ** e.n)
+        assert (e.lhs, e.rhs, e.verdict, e.note) == (
+            lhs, str(raised.value), "FAIL", "closed form not divisible by sqrt5"
+        )
 
 
 @pytest.mark.parametrize("family", [F.LEMMA5, F.LEMMA7])
