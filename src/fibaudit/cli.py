@@ -17,7 +17,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .identities import IdentityFamily, audit
+from .identities import FAMILY_FACTS, IdentityFamily, audit
 from .ring import PHI, PSI
 from .sequences import binomial, coeff_rows
 from .transforms import (
@@ -54,24 +54,17 @@ def _validate(args: argparse.Namespace) -> str | None:
 def _parse_families(families: str) -> list[IdentityFamily]:
     """The families one --families string names; ValueError names the first
     unknown tag, or says that no tag was given."""
-    names = {f.value: f for f in IdentityFamily}
-    expansions = {
-        "all": list(IdentityFamily),
-        "REMARK1": [f for f in IdentityFamily if f.value.startswith("REMARK1_")],
-        "PROP1": [f for f in IdentityFamily if f.value.startswith("PROP1_")],
-        "T4": [IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD],
-    }
+    tags = {"all": list(IdentityFamily)}
+    for family, facts in FAMILY_FACTS.items():
+        tags[family.value] = [family]
+        if facts.group:
+            tags.setdefault(facts.group, []).append(family)
     out: list[IdentityFamily] = []
     for part in families.split(","):
         part = part.strip()
-        if not part:
-            continue
-        if part in expansions:
-            out.extend(expansions[part])
-        elif part in names:
-            out.append(names[part])
-        else:
+        if part and part not in tags:
             raise ValueError(f"unknown family {part!r} in --families {families!r}")
+        out.extend(tags.get(part, ()))
     if not out:
         raise ValueError("no family given")
     return out

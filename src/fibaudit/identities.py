@@ -7,15 +7,17 @@ suspect subscripts, as sub-variant "readings") and compared against the
 brute-force oracle; disagreements are reported as FAIL verdicts, never
 silently corrected.
 
-`audit` evaluates its grid one (family, p) column at a time.  Each column
-gives its sides two ways, each as (left side, {reading: right side, or the
+`FAMILY_FACTS` holds what each family is: the p and n of its cells, its
+readings, its column kind and its --families group tag.  `audit`
+evaluates its grid one (family, p) column at a time.  Each column gives
+its sides two ways, each as (left side, {reading: right side, or the
 NotIntegral/NotDivisible it raised}): `reference(n)` evaluates one cell
 (`fib_power_sum_oracle`, `closed_form_rhs`, `_lucas_weighted_sum`, the
 direct LEMMA and PROP1 sums), and `dense_sides()` iterates over the
 column's n values.  What depends only on (family, p) is built once by the
 column's first cell, and the q/s rows once per (kind, n) for the whole
-call.  A column is dense when its n values are exactly 0..N, the shape of
-every CLI audit, or for T4 every n of one parity up to N.  Its left sides,
+call.  A column is dense when its n values are every n its family takes up
+to N: 0..N in every CLI audit, or one parity for T4.  Its left sides,
 sum_k C(n,k) sigma^k F_k^P for T2..T7 and sum_k C(n,k) w^k F_k for PROP1,
 are then read off one binomial transform, and its right sides are carried
 from one n to the next: the Fibonacci and Lucas factors of T2..T5 and
@@ -37,7 +39,7 @@ from fractions import Fraction
 from itertools import count, groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import mul
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .ring import (
     GoldenInt,
@@ -249,29 +251,6 @@ def _reduce(total: int, sqrt5_exp: int, five_exp: int):
     if type(b) is int:
         return GoldenInt(0, 2 * b)
     raise NotIntegral(f"0{'+' if b > 0 else ''}{b}*sqrt5")
-
-
-#: Sub-variant readings audited per family (first entry is the literal one).
-FAMILY_READINGS: dict[IdentityFamily, tuple[str, ...]] = {
-    IdentityFamily.T2: ("printed",),
-    IdentityFamily.T3: ("printed",),
-    IdentityFamily.T4_EVEN: ("printed", "base-subscript"),
-    IdentityFamily.T4_ODD: ("printed", "base-subscript"),
-    IdentityFamily.T5: ("printed",),
-    IdentityFamily.T6: ("printed", "t-to-p"),
-    IdentityFamily.T7: ("printed", "t-to-p-1", "j-to-n-1"),
-}
-
-#: (Fibonacci power as a function of p, oracle sign) per closed-form family.
-FAMILY_POWER_SIGN = {
-    IdentityFamily.T2: (lambda p: 4 * p, "+"),
-    IdentityFamily.T3: (lambda p: 4 * p + 2, "+"),
-    IdentityFamily.T4_EVEN: (lambda p: 4 * p, "-"),
-    IdentityFamily.T4_ODD: (lambda p: 4 * p, "-"),
-    IdentityFamily.T5: (lambda p: 4 * p + 2, "-"),
-    IdentityFamily.T6: (lambda p: 4 * p + 1, "+"),
-    IdentityFamily.T7: (lambda p: 4 * p + 3, "+"),
-}
 
 
 def _lucas_weighted_sum(row: tuple[int, ...], e: int, j_hi: int, le: int) -> int:
@@ -496,8 +475,6 @@ def render_exact(x) -> str:
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, GoldenInt):
         return str(x)
-    if isinstance(x, str):
-        return x
     raise TypeError(f"cannot render {type(x).__name__} exactly")
 
 
@@ -779,10 +756,9 @@ class _Column:
         self.p = p
         self.n_values = n_values
         self.rows = rows
-        step = 2 if family in (IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD) else 1
-        n_max = n_values[-1]
-        self.dense = n_values == tuple(range(n_max % step, n_max + 1, step))
-        self.sample = {n_max, n_values[(len(n_values) - 1) // 2]} if self.dense else ()
+        r, m = FAMILY_FACTS[family].n_mod
+        self.dense = n_values == tuple(range(r, n_values[-1] + 1, m))
+        self.sample = {n_values[-1], n_values[(len(n_values) - 1) // 2]} if self.dense else ()
         self.fast = None  # dense_sides() of a dense column
         self.memo = None  # (n, left side, its rendering, right sides)
 
@@ -821,9 +797,8 @@ class _OracleColumn(_Column):
     constants."""
 
     def build(self) -> None:
-        power, self.sign = FAMILY_POWER_SIGN[self.family]
-        self.power = power(self.p)
-        self.readings = FAMILY_READINGS[self.family]
+        facts = FAMILY_FACTS[self.family]
+        self.power, self.sign, self.readings = facts.power(self.p), facts.sign, facts.readings
         if self.family in (IdentityFamily.T6, IdentityFamily.T7):
             self.constants = _t6_t7_constants(self.family, self.p)
 
@@ -906,18 +881,59 @@ class _LemmaColumn(_Column):
         return _carried_lemma(self.a_shift, self.b_shift, weights, self.rows, self.kind)
 
 
+class FamilyFacts(NamedTuple):
+    """What one family is; `FAMILY_FACTS` holds one record per family."""
+
+    readings: tuple[str, ...]  # the first is the literal reading
+    p_min: int | None  # the least p, or None: the family takes no p
+    n_mod: tuple[int, int] | None  # (r, m): every n with n % m == r, or None: no n
+    column: type[_Column] | None  # None: REMARK1, whose cells share nothing
+    power: Callable[[int], int] | None = None  # T2..T7: the Fibonacci power at p
+    sign: str | None = None  # T2..T7: the oracle's sign
+    group: str | None = None  # the --families tag that names it with its kin
+
+    def ps(self, p_values: list) -> list:
+        return [None] if self.p_min is None else [p for p in p_values if p >= self.p_min]
+
+    def ns(self, n_values: list) -> list:
+        if self.n_mod is None:
+            return [None]
+        return [n for n in n_values if n % self.n_mod[1] == self.n_mod[0]]
+
+
+# The readings of most families, and of T4, T6 and T7.
+_PRINTED, _T4 = ("printed",), ("printed", "base-subscript")
+_T6, _T7 = ("printed", "t-to-p"), ("printed", "t-to-p-1", "j-to-n-1")
+_REMARK1 = FamilyFacts(_PRINTED, 1, None, None, group="REMARK1")
+_PROP1 = FamilyFacts(_PRINTED, 0, (0, 1), _Prop1Column, group="PROP1")
+
+#: The facts of every family, in enum order.
+FAMILY_FACTS: dict[IdentityFamily, FamilyFacts] = {
+    **{IdentityFamily(f"REMARK1_{i}"): _REMARK1 for i in range(1, 13)},
+    **{IdentityFamily(f"PROP1_{v}"): _PROP1 for v in (811, 812, 813, 814)},
+    IdentityFamily.T2: FamilyFacts(_PRINTED, 1, (0, 1), _OracleColumn, lambda p: 4 * p, "+"),
+    IdentityFamily.T3: FamilyFacts(_PRINTED, 0, (0, 1), _OracleColumn, lambda p: 4 * p + 2, "+"),
+    IdentityFamily.T4_EVEN: FamilyFacts(_T4, 1, (0, 2), _OracleColumn, lambda p: 4 * p, "-", "T4"),
+    IdentityFamily.T4_ODD: FamilyFacts(_T4, 1, (1, 2), _OracleColumn, lambda p: 4 * p, "-", "T4"),
+    IdentityFamily.T5: FamilyFacts(_PRINTED, 0, (0, 1), _OracleColumn, lambda p: 4 * p + 2, "-"),
+    IdentityFamily.T6: FamilyFacts(_T6, 0, (0, 1), _OracleColumn, lambda p: 4 * p + 1, "+"),
+    IdentityFamily.T7: FamilyFacts(_T7, 0, (0, 1), _OracleColumn, lambda p: 4 * p + 3, "+"),
+    IdentityFamily.LEMMA5: FamilyFacts(_PRINTED, None, (0, 1), _LemmaColumn),
+    IdentityFamily.LEMMA7: FamilyFacts(_PRINTED, None, (0, 1), _LemmaColumn),
+}
+
+#: The readings, and (Fibonacci power as a function of p, oracle sign), per
+#: closed-form family.
+FAMILY_READINGS = {f: x.readings for f, x in FAMILY_FACTS.items() if x.power}
+FAMILY_POWER_SIGN = {f: (x.power, x.sign) for f, x in FAMILY_FACTS.items() if x.power}
+
+
 def _column(
     family: IdentityFamily, p: int | None, n_values: tuple, rows: _Rows
 ) -> _Column | None:
-    """The unbuilt state of a (family, p) column; None for REMARK1, whose
-    cells share nothing."""
-    if family.value.startswith("REMARK1_"):
-        return None
-    if family.value.startswith("PROP1_"):
-        return _Prop1Column(family, p, n_values, rows)
-    if family in (IdentityFamily.LEMMA5, IdentityFamily.LEMMA7):
-        return _LemmaColumn(family, p, n_values, rows)
-    return _OracleColumn(family, p, n_values, rows)
+    """The unbuilt state of a (family, p) column, or None for REMARK1."""
+    column = FAMILY_FACTS[family].column
+    return None if column is None else column(family, p, n_values, rows)
 
 
 #: The FAIL note of a closed form that raised, by exception type.
@@ -955,38 +971,17 @@ def _audit_cell(
 def audit_cells(families, n_range, p_range) -> list[tuple]:
     """Enumerate the (family, n, p, reading) grid in report order: by
     family, then p, then n, then reading name (a missing p or n sorts
-    first)."""
+    first).  Each family's p, n and readings are its `FAMILY_FACTS`."""
     n_values = sorted(set(n_range))
     p_values = sorted(set(p_range))
-    cells = []
-    for family in sorted(set(families), key=_FAMILY_ORDER.get):
-        name = family.value
-        if name.startswith("REMARK1_"):
-            for p in p_values:
-                if p >= 1:
-                    cells.append((family, None, p, "printed"))
-        elif name.startswith("PROP1_"):
-            for p in p_values:
-                for n in n_values:
-                    cells.append((family, n, p, "printed"))
-        elif family in (IdentityFamily.LEMMA5, IdentityFamily.LEMMA7):
-            for n in n_values:
-                cells.append((family, n, None, "printed"))
-        else:
-            p_lo = 1 if family in (
-                IdentityFamily.T2, IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD
-            ) else 0
-            for p in p_values:
-                if p < p_lo:
-                    continue
-                for n in n_values:
-                    if family is IdentityFamily.T4_EVEN and n % 2 != 0:
-                        continue
-                    if family is IdentityFamily.T4_ODD and n % 2 != 1:
-                        continue
-                    for reading in sorted(FAMILY_READINGS[family]):
-                        cells.append((family, n, p, reading))
-    return cells
+    return [
+        (family, n, p, reading)
+        for family in sorted(set(families), key=_FAMILY_ORDER.get)
+        for facts in (FAMILY_FACTS[family],)
+        for p in facts.ps(p_values)
+        for n in facts.ns(n_values)
+        for reading in sorted(facts.readings)
+    ]
 
 
 def audit(families, n_range, p_range) -> AuditReport:

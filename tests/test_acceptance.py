@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 
+from fibaudit.cli import _VERIFY_SUITES
 from fibaudit.identities import (
     IdentityFamily,
     audit,
@@ -28,18 +29,7 @@ from fibaudit.sequences import (
     q_coeff,
     s_coeff,
 )
-from fibaudit.transforms import (
-    Seq,
-    binomial_transform,
-    corollary1_eval,
-    corollary2_eval,
-    inverse_transform,
-    lemma2_lhs,
-    lemma3_sum,
-    nabla_direct,
-    nabla_sum,
-    theorem1_eval,
-)
+from fibaudit.transforms import Seq, binomial_transform, inverse_transform
 
 F = IdentityFamily
 
@@ -60,64 +50,33 @@ def test_criterion_1_round_trip():
     _report(1, "transform round trip, 200 random sequences", start, 5.0)
 
 
+def _run_verify_suites(names, rng) -> dict:
+    """Run the named suites of `fibaudit verify` at their caps, in order and
+    on one rng; assert that every check holds and return the check counts."""
+    suites = {name: (suite, cap) for name, suite, cap in _VERIFY_SUITES}
+    counts = {}
+    for name in names:
+        suite, cap = suites[name]
+        results = list(suite(rng, cap))
+        assert results.count(False) == 0, name
+        counts[name] = len(results)
+    return counts
+
+
 def test_criterion_2_transform_identity_suites():
     start = time.perf_counter()
-    rng = random.Random(2)
-
-    b = Seq(tuple(rng.randint(-100, 100) for _ in range(33)))
-    a = Seq(tuple(rng.randint(-100, 100) for _ in range(33)))
-    bt = binomial_transform(a)
-    for n in range(33):
-        for m in range(n + 1):
-            assert nabla_direct(b, m, n) == nabla_sum(b, m, n)
-            assert binomial(n, m) * nabla_sum(b, m, n) == sum(
-                binomial(n, j) * binomial(j, n - m) * (-1) ** (n - j) * b[j]
-                for j in range(n + 1)
-            )
-            assert lemma2_lhs(a, m, n) == nabla_sum(bt, m, n)
-            assert sum(
-                binomial(n, k) * binomial(k, m) * a[k] for k in range(n + 1)
-            ) == binomial(n, m) * nabla_sum(bt, m, n)
-
-    for n in range(1, 31):
-        for m in range(1, n + 1):
-            assert lemma3_sum(n, m) == Fraction((-1) ** m, m)
-
-    for _ in range(30):
-        length = rng.randint(1, 16)
-        s1 = Seq(tuple(rng.randint(-50, 50) for _ in range(length)))
-        s2 = Seq(tuple(rng.randint(-50, 50) for _ in range(length)))
-        lhs, rhs8, rhs81 = theorem1_eval(s1, s2)
-        assert lhs == rhs8 == rhs81
-
-    from fibaudit.ring import PSI
-
-    xs = (0, 1, -1, Fraction(1, 2), 2, PHI, PSI)
-    for _ in range(20):
-        s = Seq(tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 13))))
-        for x in xs:
-            l1, r1 = corollary1_eval(s, x)
-            assert l1 == r1
-            l2, r2 = corollary2_eval(s, x)
-            assert l2 == r2
+    # The counts `verify --n-max 4096` prints for these suites.
+    want = {
+        "lemma1": 1122, "lemma2": 1122, "lemma3": 465,
+        "theorem1": 25, "corollary1": 105, "corollary2": 105,
+    }
+    assert _run_verify_suites(list(want), random.Random(2)) == want
     _report(2, "lemma 1-3 / theorem 1 / corollary 1-2 suites", start, 30.0)
 
 
 def test_criterion_3_gould_identities():
     start = time.perf_counter()
-    for n in range(21):
-        for m in range(n + 1):
-            for l in range(n + 1):
-                assert sum(
-                    binomial(m, k) * binomial(n - k, l) * (-1) ** k
-                    for k in range(m + 1)
-                ) == binomial(n - m, l - m)
-    for n in range(1, 21):
-        for m in range(1, n + 1):
-            assert sum(
-                binomial(n - m, j) * (-1) ** j * Fraction(m, m + j)
-                for j in range(n - m + 1)
-            ) == Fraction(1, binomial(n, n - m))
+    assert _run_verify_suites(["gould"], random.Random(3)) == {"gould": 3521}
     _report(3, "Gould 3.49 and 1.41 exact", start, 5.0)
 
 

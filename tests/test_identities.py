@@ -651,6 +651,65 @@ def test_audit_cells_cover_readings():
     assert readings == set(FAMILY_READINGS[F.T4_ODD])
 
 
+def _audit_cells_reference(families, n_range, p_range) -> list[tuple]:
+    """`audit_cells` as it was written before `FAMILY_FACTS`: one branch
+    per kind of family."""
+    n_values = sorted(set(n_range))
+    p_values = sorted(set(p_range))
+    cells = []
+    for family in sorted(set(families), key=identities._FAMILY_ORDER.get):
+        name = family.value
+        if name.startswith("REMARK1_"):
+            for p in p_values:
+                if p >= 1:
+                    cells.append((family, None, p, "printed"))
+        elif name.startswith("PROP1_"):
+            for p in p_values:
+                for n in n_values:
+                    cells.append((family, n, p, "printed"))
+        elif family in (IdentityFamily.LEMMA5, IdentityFamily.LEMMA7):
+            for n in n_values:
+                cells.append((family, n, None, "printed"))
+        else:
+            p_lo = 1 if family in (
+                IdentityFamily.T2, IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD
+            ) else 0
+            for p in p_values:
+                if p < p_lo:
+                    continue
+                for n in n_values:
+                    if family is IdentityFamily.T4_EVEN and n % 2 != 0:
+                        continue
+                    if family is IdentityFamily.T4_ODD and n % 2 != 1:
+                        continue
+                    for reading in sorted(FAMILY_READINGS[family]):
+                        cells.append((family, n, p, reading))
+    return cells
+
+
+def test_audit_cells_match_the_branching_reference():
+    assert list(identities.FAMILY_FACTS) == list(IdentityFamily)
+    assert len(audit_cells(list(IdentityFamily), range(65), range(3))) == 2689
+    n_sets = [[], [0], [5, 5, 3, 0, 3], range(0, 65, 3), [1, 3, 64], range(65)]
+    p_sets = [[], [0], [5, 2, 2, 0], range(6), [1, 3]]
+    for n_range in n_sets:
+        for p_range in p_sets:
+            for families in (list(F), [F.T4_ODD, F.REMARK1_3, F.T4_ODD], [F.LEMMA7]):
+                got = audit_cells(families, n_range, p_range)
+                assert got == _audit_cells_reference(families, n_range, p_range)
+
+
+@given(
+    st.lists(st.sampled_from(list(F))),
+    st.lists(st.integers(0, 70)),
+    st.lists(st.integers(0, 5)),
+)
+def test_audit_cells_match_the_reference_on_random_grids(families, n_range, p_range):
+    assert audit_cells(families, n_range, p_range) == _audit_cells_reference(
+        families, n_range, p_range
+    )
+
+
 def test_audit_entries_come_out_in_report_order():
     # audit does not sort: the cells' own order must already be the report
     # order (family, p, n, reading), whatever order the inputs come in.
@@ -676,3 +735,5 @@ def test_render_exact():
     assert render_exact(PHI) == "(1+1*sqrt5)/2"
     with pytest.raises(TypeError):
         render_exact(1.5)
+    with pytest.raises(TypeError):
+        render_exact("12")
