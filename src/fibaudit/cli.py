@@ -2,8 +2,8 @@
 `audit` checks the printed identities against the oracles, and `tables`
 prints the q/s coefficient tables.
 
-Each command takes only the flags it reads: all three take --n-max, --out
-and --unsafe-no-caps; `tables` adds --format; `audit` adds --format,
+Each command takes only the flags it reads: all three take --n-max and
+--out; `tables` adds --format and --unsafe-no-caps; `audit` adds those two,
 --families and --p-max.  Reports go to standard output (or --out);
 diagnostics go to standard error.  Exit codes: 0 success, 1 suite failure
 or an unexpected error (reported as one line on standard error), 2 invalid
@@ -43,7 +43,8 @@ def _validate(args: argparse.Namespace) -> str | None:
         return "n-max must be non-negative"
     if p_max < 0:
         return "p-max must be non-negative"
-    if not args.unsafe_no_caps:
+    # `verify` clamps each suite's n itself, so it takes no caps.
+    if not getattr(args, "unsafe_no_caps", True):
         if args.n_max > HARD_N_MAX:
             return f"n-max exceeds the hard cap {HARD_N_MAX} (use --unsafe-no-caps)"
         if p_max > HARD_P_MAX:
@@ -255,21 +256,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _s_row_texts(s_row, q_row, q_texts: list[str]) -> list[str]:
-    """Decimal strings of an s row, taken from the q row's strings.
-
-    |s(n,c)| = q(n,c), so each entry is its q string or that string
-    negated; an entry that is neither falls back to str(s).  Every result
-    equals str(s) by construction.
-    """
-    texts = []
-    for s, q, t in zip(s_row, q_row, q_texts):
-        if s == q:
-            texts.append(t)
-        elif s == -q:
-            texts.append(t[1:] if t[0] == "-" else "-" + t)
-        else:
-            texts.append(str(s))
+def _s_row_texts(n: int, q_texts: list[str]) -> list[str]:
+    """Decimal strings of s row n, taken from those of q row n:
+    s(n,c) = (-1)^(n+c) q(n,c), so the strings where n+c is odd are negated."""
+    texts = list(q_texts)
+    odd = (n + 1) % 2
+    texts[odd::2] = [
+        t[1:] if t[0] == "-" else t if t == "0" else "-" + t for t in texts[odd::2]
+    ]
     return texts
 
 
@@ -302,19 +296,20 @@ _TABLE_FORMATS = {
 }
 
 
-def _tables_report(output_format: str, q_rows, s_rows) -> Iterator[str]:
+def _tables_report(output_format: str, q_rows) -> Iterator[str]:
     """The tables report, one chunk per row: every Q row, then every S row.
 
-    The q and s rows are taken in lockstep, so each row is held only while
-    it is rendered.  A Q row's chunk is yielded at once; its S row's chunk,
-    made from the same decimal strings, is kept until the Q section is out.
+    Each q row is held only while it is rendered.  A Q row's chunk is
+    yielded at once; its S row's chunk, made next from the same strings
+    with the signs of s applied (so it can reuse the written Q chunk's
+    memory), is kept until the Q section is out.
     """
     row_chunk, closing = _TABLE_FORMATS[output_format]
     s_chunks = []
-    for n, (q_row, s_row) in enumerate(zip(q_rows, s_rows)):
+    for n, q_row in enumerate(q_rows):
         q_texts = list(map(str, q_row))
-        s_chunks.append(row_chunk("S", n, _s_row_texts(s_row, q_row, q_texts)))
         yield row_chunk("Q", n, q_texts)
+        s_chunks.append(row_chunk("S", n, _s_row_texts(n, q_texts)))
     yield from s_chunks
     if closing:
         yield closing
@@ -324,8 +319,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     # coeff_rows checks the first rows when called, so a recurrence fault
     # is raised before --out is opened or any byte is written.
     q_rows = coeff_rows("Q", args.n_max)
-    s_rows = coeff_rows("S", args.n_max)
-    return _write_report(args.out, _tables_report(args.format, q_rows, s_rows))
+    return _write_report(args.out, _tables_report(args.format, q_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n-max", type=int, default=16)
     common.add_argument("--out", default=None, metavar="PATH")
-    common.add_argument("--unsafe-no-caps", action="store_true")
-    formatted = argparse.ArgumentParser(add_help=False)
-    formatted.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    # `audit` and `tables` write formatted reports whose size is capped.
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    capped.add_argument("--unsafe-no-caps", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("verify", parents=[common], help="run the transform property suites")
     audit_parser = sub.add_parser(
-        "audit", parents=[common, formatted], help="audit printed identities vs oracles"
+        "audit", parents=[common, capped], help="audit printed identities vs oracles"
     )
     audit_parser.add_argument(
         "--families", default="all",
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit_parser.add_argument("--p-max", type=int, default=2)
     sub.add_parser(
-        "tables", parents=[common, formatted], help="print the q/s coefficient tables"
+        "tables", parents=[common, capped], help="print the q/s coefficient tables"
     )
     return parser
 

@@ -522,21 +522,9 @@ class AuditReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("family,n,p,reading,lhs,rhs,verdict,note\n")
+        buf.write(",".join(AuditEntry._fields) + "\n")
         writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
-        for e in self.entries:
-            writer.writerow(
-                [
-                    e.family,
-                    "" if e.n is None else e.n,
-                    "" if e.p is None else e.p,
-                    e.reading,
-                    e.lhs,
-                    e.rhs,
-                    e.verdict,
-                    e.note,
-                ]
-            )
+        writer.writerows(["" if v is None else v for v in e] for e in self.entries)
         return buf.getvalue()
 
     def to_text(self) -> str:

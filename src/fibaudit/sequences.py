@@ -107,9 +107,15 @@ def coeff_row(kind: str, n: int) -> tuple[int, ...]:
         row[c] = b - row[c + 2]
         b = b * (c + 1) // (n + 1 - c)
     del row[n + 1:]
-    if kind == "S":
-        for c in range((n + 1) % 2, n + 1, 2):
-            row[c] = -row[c]
+    return _s_row(row) if kind == "S" else tuple(row)
+
+
+def _s_row(q_row) -> tuple[int, ...]:
+    """Row n of the s-table from row n of the q-table:
+    s(n,c) = (-1)^(n+c) q(n,c)."""
+    row = list(q_row)
+    odd = len(row) % 2  # the first c with n + c odd, n = len(row) - 1
+    row[odd::2] = [-x for x in row[odd::2]]
     return tuple(row)
 
 
@@ -132,38 +138,27 @@ class CoeffTable:
 _CROSS_CHECK_LIMIT = 20
 
 
-def _next_row(kind: str, direct, n: int, prev: tuple[int, ...]) -> tuple[int, ...]:
-    """Row n+1 of the q- or s-table from row n by the recurrences."""
-    # x(n,1) lies outside row n only at n = 0; take it from the definition.
-    at1 = prev[1] if n else direct(0, 1)
-    if kind == "Q":
-        row = [1 - at1 + prev[0]]
-        row += [x + y for x, y in zip(prev, prev[1:])]  # c = 1..n
-    else:
-        row = [-at1 - prev[0] + (-1) ** (n + 1)]
-        row += [x - y for x, y in zip(prev, prev[1:n])]  # c = 1..n-1
-        if n >= 1:
-            row.append(direct(n + 1, n))
-    row.append(direct(n + 1, n + 1))
+def _next_row(n: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+    """Row n+1 of the q-table from row n by the recurrences."""
+    # q(n,1) lies outside row n only at n = 0; take it from the definition.
+    at1 = prev[1] if n else q_coeff(0, 1)
+    row = [1 - at1 + prev[0]]
+    row += [x + y for x, y in zip(prev, prev[1:])]  # c = 1..n
+    row.append(q_coeff(n + 1, n + 1))
     return tuple(row)
 
 
 def coeff_rows(kind: str, n_max: int) -> Iterator[tuple[int, ...]]:
-    """Rows 0..n_max of the q- or s-table, one at a time, using the
-    recurrences inside their stated validity range and the direct
-    definition elsewhere.
-
-    The q recurrences used (valid for row n -> n+1):
+    """Rows 0..n_max of the q- or s-table, one at a time, from the q
+    recurrences (valid for row n -> n+1):
       c in 1..n:  q(n+1,c) = q(n,c-1) + q(n,c)
       c = 0:      q(n+1,0) = C(n+1,0) - q(n,1) + q(n,0)
-    The s recurrences used:
-      c in 1..n-1: s(n+1,c) = s(n,c-1) - s(n,c)
-      c = 0:       s(n+1,0) = -s(n,1) - s(n,0) + (-1)^(n+1)
-    The diagonal entry of each new row comes from the definition.
+    The diagonal entry of each new row comes from the definition.  An s row
+    is its q row with s(n,c) = (-1)^(n+c) q(n,c) applied.
 
-    Rows 0..min(n_max, _CROSS_CHECK_LIMIT) are filled and checked against
-    the definition by this call, so a bad argument (ValueError) or a
-    disagreement (RecurrenceMismatch) is raised here, before any row is
+    Rows 0..min(n_max, _CROSS_CHECK_LIMIT) of q are filled and checked
+    against the definition by this call, so a bad argument (ValueError) or
+    a disagreement (RecurrenceMismatch) is raised here, before any row is
     handed out.  Each later row is made from the one before when it is
     asked for, so no table is held.
     """
@@ -171,28 +166,28 @@ def coeff_rows(kind: str, n_max: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"kind must be 'Q' or 'S', got {kind!r}")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    direct = q_coeff if kind == "Q" else s_coeff
 
-    head = [(direct(0, 0),)]
+    head = [(q_coeff(0, 0),)]
     for n in range(min(n_max, _CROSS_CHECK_LIMIT)):
-        head.append(_next_row(kind, direct, n, head[n]))
+        head.append(_next_row(n, head[n]))
     for n, row in enumerate(head):
         for c, value in enumerate(row):
-            expected = direct(n, c)
+            expected = q_coeff(n, c)
             if value != expected:
                 raise RecurrenceMismatch(
-                    f"{kind}({n},{c}): recurrence gave {value}, "
+                    f"Q({n},{c}): recurrence gave {value}, "
                     f"definition gives {expected}"
                 )
-    return _rows_after(kind, direct, head, n_max)
+    rows = _rows_after(head, n_max)
+    return map(_s_row, rows) if kind == "S" else rows
 
 
-def _rows_after(kind: str, direct, head: list, n_max: int) -> Iterator[tuple[int, ...]]:
+def _rows_after(head: list, n_max: int) -> Iterator[tuple[int, ...]]:
     """The checked rows `head`, then the rows after them up to n_max."""
     yield from head
     row = head[-1]
     for n in range(len(head) - 1, n_max):
-        row = _next_row(kind, direct, n, row)
+        row = _next_row(n, row)
         yield row
 
 

@@ -11,7 +11,7 @@ import fibaudit.sequences as seq
 from fibaudit import cli, identities
 from fibaudit.cli import main
 from fibaudit.identities import IdentityFamily
-from fibaudit.sequences import build_coeff_table
+from fibaudit.sequences import build_coeff_table, coeff_row
 from fibaudit.transforms import Seq
 
 
@@ -61,7 +61,7 @@ def test_verify_invalid_n(capsys):
 
 
 def test_caps_enforced(capsys):
-    rc, _, err = run(capsys, "verify", "--n-max", "100000")
+    rc, _, err = run(capsys, "tables", "--n-max", "100000")
     assert rc == 2
     assert "cap" in err
     rc, _, err = run(capsys, "audit", "--p-max", "65")
@@ -234,7 +234,8 @@ def _tables_reference(n_max, output_format):
 
 @pytest.mark.parametrize("output_format", ["text", "csv", "json"])
 def test_tables_match_reference_formatting(capsys, output_format):
-    for n_max in range(41):
+    # Up to n = 40, and once past the head check's rows.
+    for n_max in [*range(41), 200]:
         rc, out, _ = run(
             capsys, "tables", "--n-max", str(n_max), "--format", output_format
         )
@@ -286,14 +287,16 @@ def test_tables_memory_stays_below_report_size(monkeypatch, output_format):
     assert 0 < peak < sink.chars, (peak, sink.chars)
 
 
-def test_s_row_texts_falls_back_to_str():
-    q_row = (-7, 5, 12, 0, 3)
-    s_row = (-7, -5, 13, 0, -3)  # equal, negated, neither, zero, negated
-    q_texts = list(map(str, q_row))
-    texts = cli._s_row_texts(s_row, q_row, q_texts)
-    assert texts == ["-7", "-5", "13", "0", "-3"]
-    assert texts == [str(s) for s in s_row]
-    assert cli._s_row_texts((7,), (-7,), ["-7"]) == ["7"]
+def test_s_row_texts_apply_the_sign_rule():
+    # Rows 0..64 hold negative q entries at both parities of n + c, and
+    # zeros (q(3,0), q(7,0), ...) where n + c is odd, the entries negated.
+    signs_seen = set()
+    for n in range(65):
+        q_row = coeff_row("Q", n)
+        signs_seen.update(((n + c) % 2, (q > 0) - (q < 0)) for c, q in enumerate(q_row))
+        texts = cli._s_row_texts(n, list(map(str, q_row)))
+        assert texts == list(map(str, coeff_row("S", n))), n
+    assert {(0, -1), (1, -1), (1, 0)} <= signs_seen
 
 
 @pytest.mark.parametrize(
@@ -348,6 +351,7 @@ def test_audit_all_at_the_smallest_bounds(capsys, n_max, p_max):
         ("tables", "--p-max", "1"),
         ("tables", "--families", "T2"),
         ("bench", "--n-max", "256"),
+        ("verify", "--unsafe-no-caps"),
     ],
 )
 def test_commands_reject_flags_they_do_not_read(capsys, argv):
@@ -358,7 +362,8 @@ def test_commands_reject_flags_they_do_not_read(capsys, argv):
 
 
 def test_unsafe_no_caps_lifts_the_caps(capsys):
-    rc, out, _ = run(capsys, "verify", "--n-max", "5000", "--unsafe-no-caps")
+    # `verify` clamps each suite's n itself, so it has no cap to lift.
+    rc, out, _ = run(capsys, "verify", "--n-max", "5000")
     rc_cap, out_cap, _ = run(capsys, "verify", "--n-max", "4096")
     assert rc == rc_cap == 0
     assert out == out_cap
