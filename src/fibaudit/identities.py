@@ -13,21 +13,23 @@ evaluates its grid one (family, p) column at a time.  Each column gives
 its sides two ways, each as (left side, {reading: right side, or the
 NotIntegral/NotDivisible it raised}): `reference(n)` evaluates one cell
 (`fib_power_sum_oracle`, `closed_form_rhs`, `_lucas_weighted_sum`, the
-direct LEMMA and PROP1 sums), and `dense_sides()` iterates over the
-column's n values.  What depends only on (family, p) is built once by the
-column's first cell, and the q/s rows once per (kind, n) for the whole
-call.  A column is dense when its n values are every n its family takes up
-to N: 0..N in every CLI audit, or one parity for T4.  Its left sides,
-sum_k C(n,k) sigma^k F_k^P for T2..T7 and sum_k C(n,k) w^k F_k for PROP1,
-are then read off one binomial transform, and its right sides are carried
-from one n to the next: the Fibonacci and Lucas factors of T2..T5 and
-PROP1's numerator powers step, T6/T7 take dot products of the shared rows
-with Lucas lists built once per column, and LEMMA5/7 sum both sides on
-integer coordinates.  `_Column.sides(n)` takes the next dense value, or in
-any other column (such as a single large n) calls `reference(n)`; at n = N
-and at the column's middle n it takes both, and a disagreement in value,
-type or exception message raises FastPathMismatch, which the CLI reports
-on one stderr line with exit 1.
+direct LEMMA and PROP1 sums, each building the q/s rows it reads), and
+`dense_sides()` iterates over the column's n values.  What depends only on
+(family, p) is built once by the column's first cell.  A column is dense
+when its n values are every n its family takes up to N: 0..N in every CLI
+audit, or one parity for T4.  Its sides are then carried from one n to the
+next, holding O(1) values per n: the left sides of T2..T7,
+sum_k C(n,k) sigma^k F_k^P, are read off one binomial transform; PROP1's,
+sum_k C(n,k) w^k F_k, follow an order-2 recurrence, and LEMMA5/7's direct
+sums D_{n+1} = (a+shift) D_n + (b+shift)^(n+1).  On the right, the
+Fibonacci and Lucas factors of T2..T5 and PROP1's numerator powers step,
+and each Lucas-weighted q/s sum of T6/T7 and LEMMA5/7 is one coordinate of
+P_n(x) = sum_c q(n,c) x^c at x = +-phi^e, with P_n stepped by the q
+recurrences (`_row_sums`), so no row is formed.  `_Column.sides(n)` takes
+the next dense value, or in any other column (such as a single large n)
+calls `reference(n)`; at n = N and at the column's middle n it takes both,
+and a disagreement in value, type or exception message raises
+FastPathMismatch, which the CLI reports on one stderr line with exit 1.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count, groupby, islice
+from itertools import chain, count, groupby
 from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Callable, NamedTuple
@@ -49,6 +51,7 @@ from .ring import (
     PHI,
     PSI,
     SQRT5,
+    ZERO,
     div_sqrt5,
     ring_pow,
     to_integer,
@@ -270,28 +273,17 @@ def _lucas_weighted_sum(row: tuple[int, ...], e: int, j_hi: int, le: int) -> int
     return total
 
 
-class _Rows(dict):
-    """coeff_row(kind, n) by (kind, n), each row built on first use.  Row -1
-    is empty, since every binomial in the defining sum of q(-1, c)
+def _summed_rows(n: int):
+    """The `summed` of `_t6_t7_rhs` over rows n of q and s, both built here
+    by `coeff_row` and summed by `_lucas_weighted_sum`: the per-cell route.
+    Row -1 is empty, since every binomial in the defining sum of q(-1, c)
     vanishes."""
-
-    def __missing__(self, key: tuple[str, int]) -> tuple[int, ...]:
-        kind, n = key
-        row = self[key] = coeff_row(kind, n) if n >= 0 else ()
-        return row
-
-
-def _t6_t7_constants(family: IdentityFamily, p: int) -> dict[int, tuple[int, int]]:
-    """(F_e, L_e) for every index e of a T6/T7 term at p: e = m-4t in the
-    q-sums and m-4t-2 in the s-sums, which depend on p alone."""
-    m = 4 * p + (1 if family is IdentityFamily.T6 else 3)
-    indices = [m - 4 * t for t in range(p + 1)] + [m - 4 * t - 2 for t in range(p)]
-    return {e: (fib(e), lucas(e)) for e in indices}
+    rows = {kind: coeff_row(kind, n) if n >= 0 else () for kind in "QS"}
+    return lambda kind, e, j_hi: fib(e) * _lucas_weighted_sum(rows[kind], e, j_hi, lucas(e))
 
 
 def _t6_t7_rhs(
-    family: IdentityFamily, n: int, p: int, readings, rows: _Rows,
-    constants: dict | None = None, weights: dict | None = None, f_tail: int | None = None,
+    family: IdentityFamily, n: int, p: int, readings, summed, f_tail: int | None = None
 ) -> dict:
     """closed_form_rhs of T6 or T7 at (n, p) for each reading in `readings`.
 
@@ -299,37 +291,27 @@ def _t6_t7_rhs(
       sum_{t<=t_hi} C(m,2t) F_e q-sum(e=m-4t, j<=j_hi)
         - (-1)^n sum_{t<p} C(m,2t+1) F_e s-sum(e=m-4t-2, j<=n-1)
         + C(m,(m-1)/2) F_{2n (T6) or n (T7)},  over 5^((m-1)/2),
-    the q- and s-sums running over rows n-1, taken from `rows`.  Each term
-    with its Lucas-weighted sum is computed once per (row, e, effective j
-    bound): the rows are zero past their end, so T7's 'printed' (j <= n)
-    and 'j-to-n-1' share every sum.  `constants` is
-    `_t6_t7_constants(family, p)`, which an audit column computes once.
-    Each sum is `_lucas_weighted_sum`, or with `weights` (`_carried_t6_t7`)
-    a dot product of the row with the weights of e; `f_tail`, when given,
-    is the tail's Fibonacci number.
+    the q- and s-sums running over rows n-1.  `summed(kind, e, j_hi)` is
+    F_e (row[0] + sum_{j=1..j_hi} row[j] L_{ej}) over row n-1 of q (kind
+    "Q") or s ("S"): `_summed_rows` per cell, or `_carried_t6_t7`'s
+    carried sums.  Each term is computed
+    once per (kind, e, effective j bound): row n-1 ends at j = n-1, so
+    T7's 'printed' (j <= n) and 'j-to-n-1' share every sum.  `f_tail`,
+    when given, is the tail's Fibonacci number.
     """
-    if constants is None:
-        constants = _t6_t7_constants(family, p)
     if family is IdentityFamily.T6:
         m, tail_index = 4 * p + 1, 2 * n
         bounds = {"printed": (p - 1, n - 1), "t-to-p": (p, n - 1)}
     else:
         m, tail_index = 4 * p + 3, n
         bounds = {"printed": (p, n), "t-to-p-1": (p - 1, n), "j-to-n-1": (p, n - 1)}
-    row_of = {"Q": rows["Q", n - 1], "S": rows["S", n - 1]}
     terms: dict = {}
 
     def term(kind: str, c: int, e: int, j_hi: int) -> int:
         # (kind, e) fixes c, so the key fixes the whole term.
-        row = row_of[kind]
-        k = min(j_hi, len(row) - 1)
+        k = min(j_hi, n - 1)
         if (kind, e, k) not in terms:
-            f_e, l_e = constants[e]
-            if weights is None:
-                total = _lucas_weighted_sum(row, e, j_hi, l_e)
-            else:
-                total = _dot(row[:k + 1], weights[e])
-            terms[kind, e, k] = binomial(m, c) * f_e * total
+            terms[kind, e, k] = binomial(m, c) * summed(kind, e, j_hi)
         return terms[kind, e, k]
 
     part2 = sum(term("S", 2 * t + 1, m - 4 * t - 2, n - 1) for t in range(p))
@@ -394,7 +376,7 @@ def closed_form_rhs(
         return _reduce(-total if n % 2 else total, 0, 2 * p + 1)
 
     if family in (IdentityFamily.T6, IdentityFamily.T7):
-        return _t6_t7_rhs(family, n, p, (reading,), _Rows())[reading]
+        return _t6_t7_rhs(family, n, p, (reading,), _summed_rows(n - 1))[reading]
 
     raise ValueError(f"{family.value} has no closed-form evaluator")
 
@@ -409,19 +391,9 @@ def cross_power_expansion(n: int, a, shift: int):
     b = -1/a (so a*b = -1 exactly).
 
     Returns (direct, expanded) where direct is the plain double-power sum
-    and expanded uses the q (shift +1) or s (shift -1) coefficients against
-    the power sums a^c + b^c.
+    and expanded is q(n,0) + sum_{c=1..n} q(n,c) (a^c + b^c) from row n of
+    the q (shift +1) or s (shift -1) coefficients.
     """
-    a_shift, b_shift, power_sums = _cross_power_lists(a, shift, n)
-    return (
-        _cross_power_direct(n, a_shift, b_shift),
-        _cross_power_expanded(coeff_row("Q" if shift == 1 else "S", n), power_sums),
-    )
-
-
-def _cross_power_lists(a, shift: int, n_max: int) -> tuple[list, list, list]:
-    """(a+shift)^j, (b+shift)^j and a^c + b^c for j, c = 0..n_max, with
-    b = -1/a; checks shift and the precondition a*b = -1."""
     if shift not in (1, -1):
         raise ValueError(f"shift must be +1 or -1, got {shift}")
     if isinstance(a, GoldenInt):
@@ -436,19 +408,13 @@ def _cross_power_lists(a, shift: int, n_max: int) -> tuple[list, list, list]:
         b = Fraction(-1) / a
     if a * b != -1:
         raise PreconditionError(f"a*b = {a * b}, expected -1")
-    power_sums = [x + y for x, y in zip(_powers(a, n_max), _powers(b, n_max))]
-    return _powers(a + shift, n_max), _powers(b + shift, n_max), power_sums
-
-
-def _cross_power_direct(n: int, a_shift: list, b_shift: list):
-    """sum_{j=0..n} (a+shift)^(n-j) (b+shift)^j."""
-    return sum(a_shift[n - j] * b_shift[j] for j in range(n + 1))
-
-
-def _cross_power_expanded(row: tuple[int, ...], power_sums: list):
-    """q(n,0) + sum_{c=1..n} q(n,c) (a^c + b^c) from row n of q, or the same
-    with s."""
-    return sum(row[c] * power_sums[c] for c in range(1, len(row))) + row[0]
+    a_shift, b_shift = _powers(a + shift, n), _powers(b + shift, n)
+    power_sums = [x + y for x, y in zip(_powers(a, n), _powers(b, n))]
+    row = coeff_row("Q" if shift == 1 else "S", n)
+    return (
+        sum(a_shift[n - j] * b_shift[j] for j in range(n + 1)),
+        sum(row[c] * power_sums[c] for c in range(1, n + 1)) + row[0],
+    )
 
 
 def _powers(x, n: int) -> list:
@@ -689,42 +655,69 @@ def _carried_t4(family: IdentityFamily, p: int, n0: int):
         }
 
 
-def _carried_t6_t7(
-    family: IdentityFamily, p: int, readings, rows: _Rows, constants: dict, n_max: int
-):
-    """`_t6_t7_rhs` at n = 0, 1, 2, ..., each weighted sum a dot product of
-    its row with (1, L_e, L_2e, ..., L_{n_max e}), built once per index e of
-    `constants`: 1 stands in for L_0, since row[0] enters unweighted.  The
-    tail's F_{dn}, d = 2 (T6) or 1 (T7), is carried from the previous n."""
-    l_e = [l for _, l in constants.values()]
-    l_ej = _recurrent([2] * len(l_e), l_e, l_e, [(-1) ** e for e in constants])
-    table = zip(*islice(l_ej, n_max + 1))  # one tuple (L_0, L_e, ...) per e
-    weights = {e: (1, *column[1:]) for e, column in zip(constants, table)}
+def _row_sums(keys):
+    """{(kind, e): row[0] + sum_{j>=1} row[j] L_{ej}} for each key, over row
+    n of q (kind "Q") or s ("S") at n = 0, 1, 2, ..., with no row formed.
+
+    Take P_n(x) = sum_c q(n,c) x^c.  The q recurrences of
+    `sequences.coeff_rows`, q(n+1,c) = q(n,c-1) + q(n,c) for c >= 1 (the
+    new diagonal included, as q(n,n+1) = 0) and q(n+1,0) = 1 - q(n,1) +
+    q(n,0), give P_{n+1}(x) = (1+x) P_n(x) + 1 - q(n,1); from row -1,
+    which is all zeros, they give P_0 = 1.  As L_{ec} = phi^(ec) +
+    psi^(ec) and P_n(psi^e) is the conjugate of P_n(phi^e),
+    sum_c q(n,c) L_{ec} = P_n(phi^e) + P_n(psi^e) is the u coordinate of
+    P_n(phi^e).  With s(n,c) = (-1)^(n+c) q(n,c), sum_c s(n,c) L_{ec} is
+    (-1)^n u(P_n(-phi^e)).  row[0] enters these with L_0 = 2, so it is
+    taken off once.  Each key costs one ring product per n.
+    """
+    steps = {(kind, e): 1 + (1 if kind == "Q" else -1) * unit_pow(PHI, e) for kind, e in keys}
+    polys = dict.fromkeys(steps, ZERO)  # P_{-1}
+    q0 = q1 = 0  # q(-1,0), q(-1,1)
+    for n in count():
+        polys = {key: step * polys[key] + (1 - q1) for key, step in steps.items()}
+        q0, q1 = 1 - q1 + q0, q0 + q1
+        sign = -1 if n % 2 else 1
+        yield {
+            (kind, e): (poly.u - q0) * (sign if kind == "S" else 1)
+            for (kind, e), poly in polys.items()
+        }
+
+
+def _carried_t6_t7(family: IdentityFamily, p: int, readings):
+    """`_t6_t7_rhs` at n = 0, 1, 2, ..., each weighted sum of row n-1 read
+    from `_row_sums` (row -1 is empty) and F_e taken once per column.  Every
+    j bound of a reading reaches the end of row n-1, so each sum is the
+    whole row's.  The tail's F_{dn}, d = 2 (T6) or 1 (T7), is carried from
+    the previous n."""
+    m = 4 * p + (1 if family is IdentityFamily.T6 else 3)
+    keys = [("Q", m - 4 * t) for t in range(p + 1)] + [("S", m - 4 * t - 2) for t in range(p)]
+    f_e = {e: fib(e) for _, e in keys}
     d = 2 if family is IdentityFamily.T6 else 1
     f_dn = _recurrent([0], [fib(d)], [lucas(d)], [(-1) ** d])
-    for n in count():
-        yield _t6_t7_rhs(family, n, p, readings, rows, constants, weights, next(f_dn)[0])
+    for n, sums in enumerate(chain([dict.fromkeys(keys, 0)], _row_sums(keys))):
+        def summed(kind: str, e: int, j_hi: int) -> int:
+            return f_e[e] * sums[kind, e]
+
+        yield _t6_t7_rhs(family, n, p, readings, summed, next(f_dn)[0])
 
 
-def _carried_lemma(a_shift: list, b_shift: list, weights: list, rows: _Rows, kind: str):
-    """Both sides of LEMMA5 (kind Q) or LEMMA7 (kind S) at n = 0, 1, 2, ...,
-    each summed on the integer coordinates of the lists and made one
-    GoldenInt.  At n = 0 each side is the int 1, as in the per-cell sums."""
-    (au, av), (bu, bv), (su, sv) = map(_coordinates, (a_shift, b_shift, weights))
-    yield 1, {"printed": rows[kind, 0][0]}  # the one term 1*1; q(0,0) = s(0,0) = 1
-    for n in count(1):
-        row = rows[kind, n]
-        ru, rv = au[n::-1], av[n::-1]
-        left = GoldenInt(
-            (_dot(ru, bu) + 5 * _dot(rv, bv)) // 2, (_dot(ru, bv) + _dot(rv, bu)) // 2
-        )
-        yield left, {"printed": GoldenInt(_dot(row, su), _dot(row, sv))}
-
-
-def _coordinates(xs: list) -> tuple[list, list]:
-    """The u and v lists of xs as ring elements (an int x is (2x, 0))."""
-    ring = [GoldenInt._coerce(x) for x in xs]
-    return [g.u for g in ring], [g.v for g in ring]
+def _carried_lemma(shift: int):
+    """Both sides of LEMMA5 (shift +1) or LEMMA7 (shift -1) at a = phi,
+    b = -1/a = psi, for n = 0, 1, 2, ....  The left side
+    D_n = sum_{j=0..n} (a+shift)^(n-j) (b+shift)^j steps by
+    D_{n+1} = (a+shift) D_n + (b+shift)^(n+1).  The right side
+    row[0] + sum_{c>=1} row[c] (a^c + b^c) has a^c + b^c = L_c, so it is the
+    e = 1 sum of `_row_sums`, made the ring element that the per-cell sum
+    gives.  At n = 0 each side is the int 1, as in the per-cell sums."""
+    key = ("Q" if shift == 1 else "S", 1)
+    sums = _row_sums([key])
+    yield 1, {"printed": next(sums)[key]}  # the one term 1*1; q(0,0) = s(0,0) = 1
+    a_shift, b_shift = PHI + shift, PSI + shift
+    left, b_pow = 1, 1
+    for row_sums in sums:
+        b_pow = b_pow * b_shift
+        left = a_shift * left + b_pow
+        yield left, {"printed": GoldenInt(2 * row_sums[key], 0)}
 
 
 class _Column:
@@ -735,15 +728,13 @@ class _Column:
     values of a dense column (0..N, or for T4 every n of one parity up to
     N).  `build` sets what depends on (family, p) alone.  The dense
     iterator must not hold its column: a generator method would keep
-    `self` in its frame, a cycle that only the cyclic GC frees.  `rows`
-    holds the q/s rows of the whole audit.
+    `self` in its frame, a cycle that only the cyclic GC frees.
     """
 
-    def __init__(self, family: IdentityFamily, p: int | None, n_values: tuple, rows: _Rows):
+    def __init__(self, family: IdentityFamily, p: int | None, n_values: tuple):
         self.family = family
         self.p = p
         self.n_values = n_values
-        self.rows = rows
         r, m = FAMILY_FACTS[family].n_mod
         self.dense = n_values == tuple(range(r, n_values[-1] + 1, m))
         self.sample = {n_values[-1], n_values[(len(n_values) - 1) // 2]} if self.dense else ()
@@ -781,19 +772,17 @@ class _OracleColumn(_Column):
     """T2..T7: the left side sum_k sigma^k C(n,k) F_k^P.  A dense column reads
     it off one transform of length N+1 and takes its closed forms from
     `_carried_t2_t5`, `_carried_t4` or `_carried_t6_t7`; a cell takes the
-    oracle and `closed_form_rhs`, or `_t6_t7_rhs` with the column's
-    constants."""
+    oracle and `closed_form_rhs`, or for T6/T7 `_t6_t7_rhs` over the rows
+    n-1 that `_summed_rows` builds."""
 
     def build(self) -> None:
         facts = FAMILY_FACTS[self.family]
         self.power, self.sign, self.readings = facts.power(self.p), facts.sign, facts.readings
-        if self.family in (IdentityFamily.T6, IdentityFamily.T7):
-            self.constants = _t6_t7_constants(self.family, self.p)
 
     def reference(self, n: int) -> tuple:
         lhs = fib_power_sum_oracle(n, self.power, self.sign)
         if self.family in (IdentityFamily.T6, IdentityFamily.T7):
-            return lhs, _t6_t7_rhs(self.family, n, self.p, self.readings, self.rows, self.constants)
+            return lhs, _t6_t7_rhs(self.family, n, self.p, self.readings, _summed_rows(n - 1))
         return lhs, {r: _caught(closed_form_rhs, self.family, n, self.p, r) for r in self.readings}
 
     def dense_sides(self):
@@ -806,9 +795,7 @@ class _OracleColumn(_Column):
             s, fk, fk1 = s * sigma, fk1, fk + fk1
         values = binomial_transform(Seq(tuple(terms))).values
         if self.family in (IdentityFamily.T6, IdentityFamily.T7):
-            forms = _carried_t6_t7(
-                self.family, self.p, self.readings, self.rows, self.constants, n_max
-            )
+            forms = _carried_t6_t7(self.family, self.p, self.readings)
         elif self.family in (IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD):
             values, forms = values[n0::2], _carried_t4(self.family, self.p, n0)
         else:
@@ -818,8 +805,8 @@ class _OracleColumn(_Column):
 
 class _Prop1Column(_Column):
     """PROP1: the left side sum_k C(n,k) w^k F_k and the closed form
-    (eps_a a^n - eps_b b^n)/sqrt5.  A dense column reads the left side off
-    one transform per coordinate and carries a^n and b^n; a cell takes
+    (eps_a a^n - eps_b b^n)/sqrt5.  A dense column steps the left side by
+    its recurrence and carries a^n and b^n; a cell takes
     `_weighted_fib_sum` and a**n, b**n."""
 
     def build(self) -> None:
@@ -832,41 +819,33 @@ class _Prop1Column(_Column):
         return _weighted_fib_sum(n, self.w), {"printed": rhs}
 
     def dense_sides(self):
-        us, vs = [], []
-        wk, fk, fk1 = ONE, 0, 1
-        for _ in self.n_values:
-            us.append(wk.u * fk)
-            vs.append(wk.v * fk)
-            wk, fk, fk1 = wk * self.w, fk1, fk + fk1
-        u, v = binomial_transform(Seq(tuple(us))), binomial_transform(Seq(tuple(vs)))
+        # w^k F_k = ((w phi)^k - (w psi)^k)/sqrt5, so y_n = sum_k C(n,k) w^k F_k
+        # is ((1 + w phi)^n - (1 + w psi)^n)/sqrt5: the roots sum to 2 + w and
+        # multiply to 1 + w - w^2, and y_0 = 0, y_1 = w.
+        w = self.w
+        lefts = (y for y, in _recurrent([ZERO], [w], [2 + w], [1 + w - w * w]))
         (a, a_alt), (b, b_alt) = self.a, self.b
         forms = (
             {"printed": _caught(_prop1_rhs, n, a_n, a_alt, b_n, b_alt)}
             for n, (a_n, b_n) in enumerate(_geometric([a, b], [ONE, ONE]))
         )
-        return zip(map(GoldenInt, u, v), forms)
+        return zip(lefts, forms)
 
 
 class _LemmaColumn(_Column):
-    """LEMMA5/LEMMA7 at a = phi: the power lists to the largest n, built once.
-    A dense column takes both sides from `_carried_lemma`; a cell takes
-    `_cross_power_direct` and `_cross_power_expanded`."""
+    """LEMMA5/LEMMA7 at a = phi.  A dense column takes both sides from
+    `_carried_lemma`; a cell takes `cross_power_expansion`, which builds
+    its own power lists and row."""
 
     def build(self) -> None:
         self.shift = 1 if self.family is IdentityFamily.LEMMA5 else -1
-        self.kind = "Q" if self.shift == 1 else "S"
-        self.a_shift, self.b_shift, self.power_sums = _cross_power_lists(
-            PHI, self.shift, self.n_values[-1]
-        )
 
     def reference(self, n: int) -> tuple:
-        rhs = _cross_power_expanded(self.rows[self.kind, n], self.power_sums)
-        return _cross_power_direct(n, self.a_shift, self.b_shift), {"printed": rhs}
+        direct, expanded = cross_power_expansion(n, PHI, self.shift)
+        return direct, {"printed": expanded}
 
     def dense_sides(self):
-        # Every list starts at the int 1, which also weighs row[0].
-        weights = [1, *self.power_sums[1:]]
-        return _carried_lemma(self.a_shift, self.b_shift, weights, self.rows, self.kind)
+        return _carried_lemma(self.shift)
 
 
 class FamilyFacts(NamedTuple):
@@ -916,12 +895,10 @@ FAMILY_READINGS = {f: x.readings for f, x in FAMILY_FACTS.items() if x.power}
 FAMILY_POWER_SIGN = {f: (x.power, x.sign) for f, x in FAMILY_FACTS.items() if x.power}
 
 
-def _column(
-    family: IdentityFamily, p: int | None, n_values: tuple, rows: _Rows
-) -> _Column | None:
+def _column(family: IdentityFamily, p: int | None, n_values: tuple) -> _Column | None:
     """The unbuilt state of a (family, p) column, or None for REMARK1."""
     column = FAMILY_FACTS[family].column
-    return None if column is None else column(family, p, n_values, rows)
+    return None if column is None else column(family, p, n_values)
 
 
 #: The FAIL note of a closed form that raised, by exception type.
@@ -977,12 +954,11 @@ def audit(families, n_range, p_range) -> AuditReport:
     verdicts.  The report is deterministic: its entries are in the order
     of `audit_cells`."""
     cells = audit_cells(families, n_range, p_range)
-    rows = _Rows()  # one coeff_row per (kind, n) for the whole call
     entries = []
     for (family, p), group in groupby(cells, key=lambda cell: (cell[0], cell[2])):
         group = list(group)
         n_values = tuple(dict.fromkeys(cell[1] for cell in group))
-        column = _column(family, p, n_values, rows)
+        column = _column(family, p, n_values)
         entries.extend(_audit_cell(*cell, column) for cell in group)
     notes = tuple(
         _ADJUDICATION_NOTES[f]

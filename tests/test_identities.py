@@ -372,10 +372,10 @@ def test_dense_columns_match_single_cell_audits(monkeypatch):
 
     monkeypatch.setattr(identities, "binomial_transform", counting_transform)
     report = audit(list(IdentityFamily), range(25), range(4))
-    # One transform per dense column and coordinate, in report order: two
-    # per PROP1 column, then T2 (p >= 1), T3, T4_EVEN and T4_ODD (p >= 1;
-    # n up to 24 and 23), T5, T6 and T7.
-    assert transforms == [25] * (4 * 4 * 2 + 3 + 4 + 3) + [24] * 3 + [25] * (3 * 4)
+    # One transform per dense T2..T7 column, in report order: T2 (p >= 1),
+    # T3, T4_EVEN and T4_ODD (p >= 1; n up to 24 and 23), T5, T6 and T7.
+    # PROP1 steps its left sides by a recurrence and takes none.
+    assert transforms == [25] * (3 + 4 + 3) + [24] * 3 + [25] * (3 * 4)
     dense = {(e.family, e.n, e.p, e.reading): e for e in report.entries}
     seen = set()
     for n in range(25):
@@ -542,12 +542,18 @@ def test_lemma_n0_renders_the_int_1(family):
         e = audit([family], n_range, [0]).entries[0]
         assert (e.n, e.lhs, e.rhs, e.verdict) == (0, "1", "1", "PASS")
     shift = 1 if family is F.LEMMA5 else -1
-    for e in audit([family], range(7), [0]).entries:
+    entries = audit([family], range(101), [0]).entries
+    assert [e.n for e in entries] == list(range(101))
+    for e in entries:
         assert (e.lhs, e.rhs) == tuple(map(render_exact, cross_power_expansion(e.n, PHI, shift)))
 
 
-@pytest.mark.parametrize("n_range", [range(13), [3, 9]])
-def test_audit_builds_each_coeff_row_once(monkeypatch, n_range):
+@pytest.mark.parametrize(
+    "n_range, ns", [(range(13), {12, 11, 6, 5}), ([3, 9], {3, 2, 9, 8})], ids=["dense", "sparse"]
+)
+def test_audit_reads_coeff_rows_only_at_sampled_n(monkeypatch, n_range, ns):
+    # A dense column carries its row sums and builds rows only for the
+    # per-cell check at n = N and N//2; a sparse one builds them at each n.
     # T6/T7 read rows n-1 of both kinds, LEMMA5 the q row n, LEMMA7 the s row n.
     calls = []
     real_row = identities.coeff_row
@@ -558,8 +564,50 @@ def test_audit_builds_each_coeff_row_once(monkeypatch, n_range):
 
     monkeypatch.setattr(identities, "coeff_row", counting_row)
     audit(list(IdentityFamily), n_range, range(3))
-    ns = set(n_range) | {n - 1 for n in n_range if n}
-    assert sorted(calls) == sorted((kind, n) for kind in "QS" for n in ns)
+    assert set(calls) == {(kind, n) for kind in "QS" for n in ns}
+
+
+def test_row_sums_match_lucas_weighted_sums_of_rows():
+    es = (1, 2, 3, 5, 9, 27)
+    keys = [(kind, e) for kind in "QS" for e in es]
+    for n, sums in zip(range(81), identities._row_sums(keys)):
+        assert set(sums) == set(keys)
+        for kind, e in keys:
+            want = _lucas_weighted_sum(coeff_row(kind, n), e, n, lucas(e))
+            assert sums[kind, e] == want, (kind, e, n)
+
+
+def test_prop1_dense_columns_match_prop1_eval_at_every_n():
+    variants = [F.PROP1_811, F.PROP1_812, F.PROP1_813, F.PROP1_814]
+    entries = audit(variants, range(101), range(7)).entries
+    assert len(entries) == 4 * 101 * 7
+    for e in entries:
+        lhs, rhs = prop1_eval(e.n, e.p, int(e.family.split("_")[1]))
+        assert (e.lhs, e.rhs, e.verdict) == (render_exact(lhs), render_exact(rhs), "PASS")
+
+
+@pytest.mark.parametrize("family, p", [(F.T7, 1), (F.LEMMA5, 0)])
+def test_faulty_row_sums_hit_the_sampled_check(monkeypatch, family, p):
+    real = identities._row_sums
+
+    def off_by_one_from_n1(keys):
+        for n, sums in enumerate(real(keys)):
+            yield {key: value + (n >= 1) for key, value in sums.items()}
+
+    monkeypatch.setattr(identities, "_row_sums", off_by_one_from_n1)
+    with pytest.raises(FastPathMismatch, match="closed form disagrees .* at n=6$"):
+        audit([family], range(13), [p])
+
+
+def test_faulty_prop1_step_hits_the_sampled_check(monkeypatch):
+    real = identities._recurrent
+
+    def off_by_one(first, second, mult, sign):
+        return real(first, second, [m + 1 for m in mult], sign)
+
+    monkeypatch.setattr(identities, "_recurrent", off_by_one)
+    with pytest.raises(FastPathMismatch, match="left side disagrees .* at n=6$"):
+        audit([F.PROP1_811], range(13), [1])
 
 
 def _reduce_reference(total, sqrt5_exp, five_exp):
