@@ -5,9 +5,13 @@ prints the q/s coefficient tables.
 Each command takes only the flags it reads: all three take --n-max and
 --out; `tables` adds --format and --unsafe-no-caps; `audit` adds those two,
 --families and --p-max.  Reports go to standard output (or --out);
-diagnostics go to standard error.  Exit codes: 0 success, 1 suite failure
-or an unexpected error (reported as one line on standard error), 2 invalid
-configuration, 3 printed-form audit FAIL, 4 output I/O failure.
+diagnostics go to standard error.  `audit` writes its report one
+(family, p) column at a time and holds one column, not the report; its
+values are exact past CPython's 4,300-digit int->str limit.  Exit codes:
+0 success, 1 suite failure or an unexpected error (reported as one line on
+standard error; an `audit` that fails after its first column has already
+written the columns before it), 2 invalid configuration, 3 printed-form
+audit FAIL, 4 output I/O failure.
 """
 from __future__ import annotations
 
@@ -16,8 +20,15 @@ import random
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import chain
 
-from .identities import FAMILY_FACTS, IdentityFamily, audit
+from .identities import (
+    FAMILY_FACTS,
+    REPORT_FORMATS,
+    IdentityFamily,
+    audit_columns,
+    audit_notes,
+)
 from .ring import PHI, PSI
 from .sequences import binomial, coeff_rows
 from .transforms import (
@@ -233,22 +244,26 @@ def cmd_audit(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = audit(families, range(args.n_max + 1), range(args.p_max + 1))
+    cells = fails = 0
+
+    def columns():
+        # Each column is counted as it passes on to be written.
+        nonlocal cells, fails
+        for entries in audit_columns(families, range(args.n_max + 1), range(args.p_max + 1)):
+            cells += len(entries)
+            fails += sum(e.verdict == "FAIL" for e in entries)
+            yield entries
+
+    chunks = REPORT_FORMATS[args.format](columns(), audit_notes(families))
     if args.format == "json":
-        payload = report.to_json() + "\n"
-    elif args.format == "csv":
-        payload = report.to_csv()
-    else:
-        payload = report.to_text()
-    rc = _write_report(args.out, [payload])
+        chunks = chain(chunks, ["\n"])
+    # The first column is made before --out is opened, so a run that fails
+    # there leaves no file; one that fails later keeps the columns before it.
+    rc = _write_report(args.out, chain([next(chunks)], chunks))
     if rc:
         return rc
-    n_fail = sum(1 for e in report.entries if e.verdict == "FAIL")
-    print(
-        f"audit: {len(report.entries)} cells, {n_fail} printed-form failures",
-        file=sys.stderr,
-    )
-    return 0 if n_fail == 0 else 3
+    print(f"audit: {cells} cells, {fails} printed-form failures", file=sys.stderr)
+    return 0 if fails == 0 else 3
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ brute-force oracle; disagreements are reported as FAIL verdicts, never
 silently corrected.
 
 `FAMILY_FACTS` holds what each family is: the p and n of its cells, its
-readings, its column kind and its --families group tag.  `audit`
-evaluates its grid one (family, p) column at a time.  Each column gives
+readings, its column kind and its --families group tag.  `audit_columns`
+evaluates the grid one (family, p) column at a time and yields each
+column's entries; `audit` collects them, and `REPORT_FORMATS` writes them
+one column per chunk.  Each column gives
 its sides two ways, each as (left side, {reading: right side, or the
 NotIntegral/NotDivisible it raised}): `reference(n)` evaluates one cell
 (`fib_power_sum_oracle`, `closed_form_rhs`, `_lucas_weighted_sum`, the
@@ -38,10 +40,10 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count, groupby
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .ring import (
     GoldenInt,
@@ -52,6 +54,7 @@ from .ring import (
     PSI,
     SQRT5,
     ZERO,
+    decimal_str,
     div_sqrt5,
     ring_pow,
     to_integer,
@@ -253,7 +256,7 @@ def _reduce(total: int, sqrt5_exp: int, five_exp: int):
         return b
     if type(b) is int:
         return GoldenInt(0, 2 * b)
-    raise NotIntegral(f"0{'+' if b > 0 else ''}{b}*sqrt5")
+    raise NotIntegral(f"0{'+' if b > 0 else ''}{render_exact(b)}*sqrt5")
 
 
 def _lucas_weighted_sum(row: tuple[int, ...], e: int, j_hi: int, le: int) -> int:
@@ -432,13 +435,13 @@ def _powers(x, n: int) -> list:
 
 def render_exact(x) -> str:
     """Canonical exact string: ints in decimal, rationals as num/den,
-    ring elements as (u+v*sqrt5)/2."""
+    ring elements as (u+v*sqrt5)/2; exact at any size (`decimal_str`)."""
     if isinstance(x, bool):
         raise TypeError("bool is not an exact scalar")
     if isinstance(x, int):
-        return str(x)
+        return decimal_str(x)
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
     if isinstance(x, GoldenInt):
         return str(x)
     raise TypeError(f"cannot render {type(x).__name__} exactly")
@@ -458,6 +461,70 @@ class AuditEntry(NamedTuple):
         return self._asdict()
 
 
+def _json_chunks(columns, notes) -> Iterator[str]:
+    # The layout of json.dumps([e.as_dict() ...], indent=2), written
+    # entry by entry; strings are escaped by the C function that
+    # json.dumps itself calls for a str.
+    dumps = encode_basestring_ascii
+    head = "[\n"
+    for entries in columns:
+        yield head + ",\n".join(
+            f'  {{\n    "family": {dumps(e.family)},\n'
+            f'    "n": {"null" if e.n is None else e.n},\n'
+            f'    "p": {"null" if e.p is None else e.p},\n'
+            f'    "reading": {dumps(e.reading)},\n'
+            f'    "lhs": {dumps(e.lhs)},\n'
+            f'    "rhs": {dumps(e.rhs)},\n'
+            f'    "verdict": {dumps(e.verdict)},\n'
+            f'    "note": {dumps(e.note)}\n  }}'
+            for e in entries
+        )
+        head = ",\n"
+    yield "[]" if head == "[\n" else "\n]"
+
+
+def _csv_chunks(columns, notes) -> Iterator[str]:
+    head = ",".join(AuditEntry._fields) + "\n"
+    for entries in columns:
+        buf = io.StringIO()
+        buf.write(head)
+        writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        writer.writerows(["" if v is None else v for v in e] for e in entries)
+        yield buf.getvalue()
+        head = ""
+    if head:
+        yield head
+
+
+def _text_entry(e: AuditEntry) -> str:
+    params = []
+    if e.p is not None:
+        params.append(f"p={e.p}")
+    if e.n is not None:
+        params.append(f"n={e.n}")
+    if e.reading:
+        params.append(f"reading={e.reading}")
+    line = f"{e.verdict}  {e.family} [{', '.join(params)}] lhs={e.lhs} rhs={e.rhs}\n"
+    return line + f"      note: {e.note}\n" if e.note else line
+
+
+def _text_chunks(columns, notes) -> Iterator[str]:
+    written = False
+    for entries in columns:
+        yield "".join(map(_text_entry, entries))
+        written = True
+    closing = "".join(f"# {note}\n" for note in notes)
+    yield closing if closing or written else "\n"
+
+
+#: One report emitter per format: chunks(columns, notes) yields the report
+#: of the entry lists `columns`, one chunk per list with the header joined
+#: to the first, then the closing chunk; only text writes the notes.
+#: Nothing is yielded before the first list is made, so a column that fails
+#: leaves no header behind.
+REPORT_FORMATS = {"json": _json_chunks, "csv": _csv_chunks, "text": _text_chunks}
+
+
 @dataclass(frozen=True)
 class AuditReport:
     entries: tuple[AuditEntry, ...]
@@ -467,49 +534,18 @@ class AuditReport:
     def all_pass(self) -> bool:
         return all(e.verdict == "PASS" for e in self.entries)
 
+    def _report(self, output_format: str) -> str:
+        columns = (self.entries,) if self.entries else ()
+        return "".join(REPORT_FORMATS[output_format](columns, self.notes))
+
     def to_json(self) -> str:
-        # The layout of json.dumps([e.as_dict() ...], indent=2), written
-        # entry by entry; strings are escaped by the C function that
-        # json.dumps itself calls for a str.
-        if not self.entries:
-            return "[]"
-        dumps = encode_basestring_ascii
-        return "[\n" + ",\n".join(
-            f'  {{\n    "family": {dumps(e.family)},\n'
-            f'    "n": {"null" if e.n is None else e.n},\n'
-            f'    "p": {"null" if e.p is None else e.p},\n'
-            f'    "reading": {dumps(e.reading)},\n'
-            f'    "lhs": {dumps(e.lhs)},\n'
-            f'    "rhs": {dumps(e.rhs)},\n'
-            f'    "verdict": {dumps(e.verdict)},\n'
-            f'    "note": {dumps(e.note)}\n  }}'
-            for e in self.entries
-        ) + "\n]"
+        return self._report("json")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(AuditEntry._fields) + "\n")
-        writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
-        writer.writerows(["" if v is None else v for v in e] for e in self.entries)
-        return buf.getvalue()
+        return self._report("csv")
 
     def to_text(self) -> str:
-        lines = []
-        for e in self.entries:
-            head = f"{e.verdict}  {e.family}"
-            params = []
-            if e.p is not None:
-                params.append(f"p={e.p}")
-            if e.n is not None:
-                params.append(f"n={e.n}")
-            if e.reading:
-                params.append(f"reading={e.reading}")
-            lines.append(f"{head} [{', '.join(params)}] lhs={e.lhs} rhs={e.rhs}")
-            if e.note:
-                lines.append(f"      note: {e.note}")
-        for note in self.notes:
-            lines.append(f"# {note}")
-        return "\n".join(lines) + "\n"
+        return self._report("text")
 
 
 _ADJUDICATION_NOTES = {
@@ -933,36 +969,54 @@ def _audit_cell(
     )
 
 
+def _grid_columns(families, n_range, p_range):
+    """(family, p, n values, readings) of each (family, p) column that has
+    cells, in report order: by family, then p (a missing p or n is None).
+    Each family's p, n and readings are its `FAMILY_FACTS`."""
+    n_values = sorted(set(n_range))
+    p_values = sorted(set(p_range))
+    for family in sorted(set(families), key=_FAMILY_ORDER.get):
+        facts = FAMILY_FACTS[family]
+        ns = facts.ns(n_values)
+        if ns:
+            for p in facts.ps(p_values):
+                yield family, p, ns, sorted(facts.readings)
+
+
 def audit_cells(families, n_range, p_range) -> list[tuple]:
     """Enumerate the (family, n, p, reading) grid in report order: by
     family, then p, then n, then reading name (a missing p or n sorts
-    first).  Each family's p, n and readings are its `FAMILY_FACTS`."""
-    n_values = sorted(set(n_range))
-    p_values = sorted(set(p_range))
+    first)."""
     return [
         (family, n, p, reading)
-        for family in sorted(set(families), key=_FAMILY_ORDER.get)
-        for facts in (FAMILY_FACTS[family],)
-        for p in facts.ps(p_values)
-        for n in facts.ns(n_values)
-        for reading in sorted(facts.readings)
+        for family, p, ns, readings in _grid_columns(families, n_range, p_range)
+        for n in ns
+        for reading in readings
     ]
+
+
+def audit_columns(families, n_range, p_range) -> Iterator[list[AuditEntry]]:
+    """The entries of each (family, p) column, one list per column, in the
+    order of `audit_cells`.  A column is built when its list is asked for
+    and is freed once the list is made, so a caller that writes each list
+    out holds one column, not the report."""
+    for family, p, ns, readings in _grid_columns(families, n_range, p_range):
+        column = _column(family, p, tuple(ns))
+        yield [_audit_cell(family, n, p, reading, column) for n in ns for reading in readings]
+
+
+def audit_notes(families) -> tuple[str, ...]:
+    """The adjudication notes of the given families, in report order."""
+    return tuple(
+        _ADJUDICATION_NOTES[f]
+        for f in sorted(set(families), key=_FAMILY_ORDER.get)
+        if f in _ADJUDICATION_NOTES
+    )
 
 
 def audit(families, n_range, p_range) -> AuditReport:
     """Run every applicable (family, n, p, reading) cell and collect
     verdicts.  The report is deterministic: its entries are in the order
     of `audit_cells`."""
-    cells = audit_cells(families, n_range, p_range)
-    entries = []
-    for (family, p), group in groupby(cells, key=lambda cell: (cell[0], cell[2])):
-        group = list(group)
-        n_values = tuple(dict.fromkeys(cell[1] for cell in group))
-        column = _column(family, p, n_values)
-        entries.extend(_audit_cell(*cell, column) for cell in group)
-    notes = tuple(
-        _ADJUDICATION_NOTES[f]
-        for f in sorted(set(families), key=_FAMILY_ORDER.get)
-        if f in _ADJUDICATION_NOTES
-    )
-    return AuditReport(entries=tuple(entries), notes=notes)
+    entries = chain.from_iterable(audit_columns(families, n_range, p_range))
+    return AuditReport(entries=tuple(entries), notes=audit_notes(families))

@@ -8,7 +8,49 @@ All values are immutable and all operations are pure functions.
 """
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
+
+_BITS_PER_LEAF = 128  # leaves of decimal_str's split, converted by Decimal(int)
+
+
+def decimal_str(x: int) -> str:
+    """str(x), also past CPython's int->str digit limit.
+
+    `str` is used wherever the interpreter accepts x.  Above its limit, x is
+    split on powers of two and recombined in `decimal`, whose strings are
+    not limited, by the divide and conquer of CPython 3.12's
+    `_pylong.int_to_decimal_string` (gh-90716): exact, since the context
+    traps Inexact, and subquadratic, unlike str(Decimal(x)).  The
+    interpreter's limit is neither read nor changed.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    D = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def two_to(w: int) -> decimal.Decimal:
+        if w not in powers:
+            half = w >> 1
+            powers[w] = D(2) ** w if w <= _BITS_PER_LEAF else two_to(half) * two_to(w - half)
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:  # 0 <= n < 2^w
+        if w <= _BITS_PER_LEAF:
+            return D(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * two_to(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(x), x.bit_length()))
+    return "-" + text if x < 0 else text
 
 
 class NotDivisible(ArithmeticError):
@@ -118,7 +160,8 @@ class GoldenInt:
         return f"GoldenInt({self.u}, {self.v})"
 
     def __str__(self) -> str:
-        return f"({self.u}{self.v:+}*sqrt5)/2"
+        v = decimal_str(self.v)
+        return f"({decimal_str(self.u)}{v if self.v < 0 else '+' + v}*sqrt5)/2"
 
     def __bool__(self) -> bool:
         return self.u != 0 or self.v != 0
@@ -170,7 +213,7 @@ def unit_inverse(a: GoldenInt) -> GoldenInt:
         return conjugate(a)
     if n == -1:
         return -conjugate(a)
-    raise NotDivisible(f"{a} has norm {n}, not a unit")
+    raise NotDivisible(f"{a} has norm {decimal_str(n)}, not a unit")
 
 
 def unit_pow(a: GoldenInt, k: int) -> GoldenInt:

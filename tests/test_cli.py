@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
@@ -162,13 +163,66 @@ def test_audit_out_io_failure(capsys):
     assert rc == 4
 
 
-def test_escaping_exception_is_one_line(capsys):
-    # T4's printed value passes CPython's 4300-digit int->str limit here.
-    rc, out, err = run(capsys, "audit", "--families", "T4", "--n-max", "96", "--p-max", "2")
+def test_escaping_exception_is_one_line(capsys, monkeypatch):
+    # An exception in the first column: nothing is written, and the
+    # message's line breaks are folded into one stderr line.
+    def failing_cell(*args):
+        raise RuntimeError("injected\nfault")
+
+    monkeypatch.setattr(identities, "_audit_cell", failing_cell)
+    rc, out, err = run(capsys, "audit", "--families", "T4", "--n-max", "8", "--p-max", "2")
     assert rc == 1
     assert out == ""
-    assert err.startswith("error: audit: ValueError: ")
-    assert len(err.strip().splitlines()) == 1
+    assert err == "error: audit: RuntimeError: injected fault\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv", "text"])
+def test_failure_in_a_later_column_keeps_the_columns_before_it(
+    capsys, monkeypatch, tmp_path, output_format
+):
+    argv = (
+        "audit", "--families", "T2,T3,T5", "--n-max", "8", "--p-max", "1",
+        "--format", output_format,
+    )
+    rc, full, _ = run(capsys, *argv)
+    assert rc == 3
+    real_cell = identities._audit_cell
+
+    def failing_in_t5(family, *args):
+        if family is IdentityFamily.T5:
+            raise RuntimeError("injected fault")
+        return real_cell(family, *args)
+
+    monkeypatch.setattr(identities, "_audit_cell", failing_in_t5)
+    path = tmp_path / "report"
+    for extra in ([], ["--out", str(path)]):
+        rc, out, err = run(capsys, *argv, *extra)
+        assert rc == 1
+        assert err == "error: audit: RuntimeError: injected fault\n"
+        written = path.read_text(encoding="utf-8") if extra else out
+        assert 0 < len(written) < len(full)
+        assert full.startswith(written)
+        assert written.count("T3") and "T5" not in written
+
+
+def test_t4_report_past_the_int_str_limit(capsys):
+    # T4's printed right sides pass CPython's 4300-digit int->str limit
+    # here; they are written exactly, and the limit is left as it was.
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(
+        capsys, "audit", "--families", "T4", "--n-max", "96", "--p-max", "2",
+        "--format", "json",
+    )
+    assert (rc, err) == (3, "audit: 388 cells, 292 printed-form failures\n")
+    assert sys.get_int_max_str_digits() == limit
+    entries = json.loads(out)
+    assert len(entries) == 388
+    long = [e for e in entries if len(e["rhs"]) > 4300]
+    assert long
+    for e in long[::10]:
+        want = identities.closed_form_rhs(IdentityFamily(e["family"]), e["n"], e["p"], e["reading"])
+        assert int(Decimal(e["rhs"])) == want
 
 
 def test_fast_path_mismatch_exits_1_with_one_line(capsys, monkeypatch):
@@ -285,6 +339,46 @@ def test_tables_memory_stays_below_report_size(monkeypatch, output_format):
         tracemalloc.stop()
     assert rc == 0
     assert 0 < peak < sink.chars, (peak, sink.chars)
+
+
+@pytest.mark.parametrize("output_format", ["text", "csv", "json"])
+def test_audit_memory_stays_below_report_size(monkeypatch, output_format):
+    # The report is written one (family, p) column at a time, so the
+    # traced peak stays below the report's own size.
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        rc = main([
+            "audit", "--families", "all", "--n-max", "64", "--p-max", "2",
+            "--format", output_format,
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert 0 < peak < sink.chars, (peak, sink.chars)
+
+
+@pytest.mark.parametrize(
+    "families, n_max, p_max", [(list(IdentityFamily), 64, 2), ([IdentityFamily.T2], 16, 0)]
+)
+def test_audit_stream_equals_the_report_methods(capsys, families, n_max, p_max):
+    report = identities.audit(families, range(n_max + 1), range(p_max + 1))
+    tags = ",".join(f.value for f in families)
+    for output_format, want in (
+        ("json", report.to_json() + "\n"),
+        ("csv", report.to_csv()),
+        ("text", report.to_text()),
+    ):
+        rc, out, err = run(
+            capsys, "audit", "--families", tags, "--n-max", str(n_max),
+            "--p-max", str(p_max), "--format", output_format,
+        )
+        assert rc == (3 if report.entries else 0)
+        assert out == want, output_format
+        fails = sum(e.verdict == "FAIL" for e in report.entries)
+        assert err == f"audit: {len(report.entries)} cells, {fails} printed-form failures\n"
 
 
 def test_s_row_texts_apply_the_sign_rule():

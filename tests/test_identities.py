@@ -1,7 +1,10 @@
 import gc
 import hashlib
 import json
+import re
+import sys
 import weakref
+from decimal import Decimal
 
 import pytest
 from fractions import Fraction
@@ -785,3 +788,39 @@ def test_render_exact():
         render_exact(1.5)
     with pytest.raises(TypeError):
         render_exact("12")
+
+
+# Either side of CPython's default 4300-digit int->str limit, far past it,
+# and a Fibonacci number; none is a multiple of 5.
+_LIMIT_SIDES = [10**4299 + 7, 10**4300 - 1, 10**4300 + 3, 10**20000 + 1, fib(60001)]
+
+
+def _golden_text(text: str) -> tuple[int, int]:
+    match = re.fullmatch(r"\((-?\d+)([+-]\d+)\*sqrt5\)/2", text)
+    return int(Decimal(match[1])), int(Decimal(match[2]))
+
+
+@pytest.mark.parametrize("x", _LIMIT_SIDES, ids=lambda x: f"{x.bit_length()}bits")
+def test_render_exact_past_the_int_str_limit(x):
+    limit = sys.get_int_max_str_digits()
+    den = 10**4400 + 1
+    for v in (x, -x):
+        assert int(Decimal(render_exact(v))) == v
+        num_text, den_text = render_exact(Fraction(v, den)).split("/")
+        assert Fraction(int(Decimal(num_text)), int(Decimal(den_text))) == Fraction(v, den)
+        assert _golden_text(render_exact(GoldenInt(v, -v - 2))) == (v, -v - 2)
+        assert _golden_text(str(GoldenInt(3, v))) == (3, v)
+        # b = v/5 is not an integer, so the sqrt5 multiple is NotIntegral.
+        with pytest.raises(NotIntegral) as raised:
+            _reduce(v, 1, 1)
+        b = Fraction(*map(int, map(Decimal, str(raised.value)[1:-len("*sqrt5")].split("/"))))
+        assert b == Fraction(v, 5)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_render_exact_keeps_str_below_the_limit():
+    for x in (0, 1, -1, 10**4299 + 7, -(10**4299 + 7), fib(20000)):
+        assert render_exact(x) == str(x)
+        f = Fraction(x, 10**9 + 7)
+        assert render_exact(f) == f"{f.numerator}/{f.denominator}"
+        assert str(GoldenInt(x, x)) == f"({x}{x:+}*sqrt5)/2"

@@ -12,6 +12,7 @@ from fibaudit.ring import (
     SQRT5,
     ZERO,
     conjugate,
+    decimal_str,
     div_sqrt5,
     ring_pow,
     to_integer,
@@ -99,6 +100,9 @@ def test_unit_inverse():
     assert unit_pow(PHI, -1) == -PSI
     with pytest.raises(NotDivisible):
         unit_inverse(GoldenInt(4, 0))  # norm 4, not a unit
+    # A norm past the int->str limit is still reported as NotDivisible.
+    with pytest.raises(NotDivisible, match=r"has norm 1\d{10000}, not a unit"):
+        unit_inverse(GoldenInt(2 * 10**5000, 0))
 
 
 def test_fraction_interop():
@@ -150,3 +154,23 @@ def test_pow_matches_repeated_mul(a, k):
     for _ in range(k):
         expected = expected * a
     assert ring_pow(a, k) == expected
+
+
+@given(st.integers(-(10**80), 10**80))
+def test_decimal_str_is_str_within_the_limit(x):
+    assert decimal_str(x) == str(x)
+
+
+@pytest.mark.parametrize("digits", [4301, 6000, 25000, 100001])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_decimal_str_past_the_limit_joins_str_of_its_pieces(digits, sign):
+    # Cut |x| into 4000-digit pieces, each short enough for str(): the
+    # divide and conquer path must give the pieces' digits in order.
+    x = sign * (3 ** int(digits / 0.47712125472) % 10**digits + 10 ** (digits - 1))
+    pieces, rest = [], abs(x)
+    while rest >= 10**4000:
+        rest, piece = divmod(rest, 10**4000)
+        pieces.append(str(piece).zfill(4000))
+    want = str(rest) + "".join(reversed(pieces))
+    assert len(want) == digits
+    assert decimal_str(x) == ("-" if sign < 0 else "") + want
