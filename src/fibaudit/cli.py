@@ -92,17 +92,19 @@ def _write_report(path: str | None, chunks: Iterable[str]) -> int:
     """Write the report's chunks, in order, to the --out `path` or,
     without one, to standard output.
 
-    Each chunk is written as soon as it is made, so a report produced row
-    by row is never held whole in memory.
+    Each chunk is written as soon as it is made and dropped before the
+    next is made, so this function holds one chunk at a time, never two.
     """
     if not path:
         for chunk in chunks:
             _emit(sys.stdout, chunk)
+            del chunk
         return 0
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for chunk in chunks:
                 _emit(fh, chunk)
+                del chunk
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 4

@@ -11,16 +11,18 @@ silently corrected.
 readings, its column kind and its --families group tag.  `audit_columns`
 evaluates the grid one (family, p) column at a time and yields each
 column's entries; `audit` collects them, and `REPORT_FORMATS` writes them
-one column per chunk.  Each column gives
-its sides two ways, each as (left side, {reading: right side, or the
-NotIntegral/NotDivisible it raised}): `reference(n)` evaluates one cell
-(`fib_power_sum_oracle`, `closed_form_rhs`, `_lucas_weighted_sum`, the
-direct LEMMA and PROP1 sums, each building the q/s rows it reads), and
-`dense_sides()` iterates over the column's n values.  What depends only on
-(family, p) is built once by the column's first cell.  A column is dense
-when its n values are every n its family takes up to N: 0..N in every CLI
-audit, or one parity for T4.  Its sides are then carried from one n to the
-next, holding O(1) values per n: the left sides of T2..T7,
+one column per chunk.  Each column gives its sides two ways, each as (left
+side, {reading: right side, or the NotIntegral/NotDivisible it raised}):
+`reference(n)` evaluates one cell (`fib_power_sum_oracle`,
+`closed_form_rhs` or T6/T7's `_t6_t7_cell`, the direct LEMMA and PROP1
+sums, each building the q/s rows it reads), and `dense_sides()` iterates
+over the column's n values.  What depends only on (family, p) is built
+once by the column's first cell; for T6/T7 that is the `_t6_t7_form`
+record, the one place that knows their (kind, e) sums, weights and
+per-reading t bounds, which both routes evaluate by `_t6_t7_rhs`.  A
+column is dense when its n values are every n its family takes up to N:
+0..N in every CLI audit, or one parity for T4.  Its sides are then carried
+from one n to the next, holding O(1) values per n: the left sides of T2..T7,
 sum_k C(n,k) sigma^k F_k^P, are read off one binomial transform; PROP1's,
 sum_k C(n,k) w^k F_k, follow an order-2 recurrence, and LEMMA5/7's direct
 sums D_{n+1} = (a+shift) D_n + (b+shift)^(n+1).  On the right, the
@@ -40,7 +42,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, count
+from itertools import accumulate, chain, count
 from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
@@ -259,72 +261,68 @@ def _reduce(total: int, sqrt5_exp: int, five_exp: int):
     raise NotIntegral(f"0{'+' if b > 0 else ''}{render_exact(b)}*sqrt5")
 
 
-def _lucas_weighted_sum(row: tuple[int, ...], e: int, j_hi: int, le: int) -> int:
-    """row[0] + sum_{j=1..j_hi} row[j] * L_{e*j}, where row[j] = 0 past the
-    end of the row and le = L_e.
-
-    L_{e*j} is generated by L_{e(j+1)} = L_e L_{ej} - (-1)^e L_{e(j-1)}.
+def _lucas_weighted_sum(row: tuple[int, ...], e: int, le: int) -> int:
+    """row[0] + sum_{j>=1} row[j] * L_{e*j} over the whole row, 0 for the
+    empty row, where le = L_e and L_{e(j+1)} = L_e L_{ej} - (-1)^e L_{e(j-1)}.
     """
     if not row:
         return 0
     total = row[0]
     sign = -1 if e % 2 else 1  # (-1)^e
     prev, cur = 2, le  # L_0, L_e
-    for j in range(1, min(j_hi, len(row) - 1) + 1):
-        total += row[j] * cur
+    for x in row[1:]:
+        total += x * cur
         prev, cur = cur, le * cur - sign * prev
     return total
 
 
-def _summed_rows(n: int):
-    """The `summed` of `_t6_t7_rhs` over rows n of q and s, both built here
-    by `coeff_row` and summed by `_lucas_weighted_sum`: the per-cell route.
-    Row -1 is empty, since every binomial in the defining sum of q(-1, c)
-    vanishes."""
-    rows = {kind: coeff_row(kind, n) if n >= 0 else () for kind in "QS"}
-    return lambda kind, e, j_hi: fib(e) * _lucas_weighted_sum(rows[kind], e, j_hi, lucas(e))
-
-
-def _t6_t7_rhs(
-    family: IdentityFamily, n: int, p: int, readings, summed, f_tail: int | None = None
-) -> dict:
-    """closed_form_rhs of T6 or T7 at (n, p) for each reading in `readings`.
-
-    With m = 4p+1 (T6) or 4p+3 (T7) the printed form is
-      sum_{t<=t_hi} C(m,2t) F_e q-sum(e=m-4t, j<=j_hi)
-        - (-1)^n sum_{t<p} C(m,2t+1) F_e s-sum(e=m-4t-2, j<=n-1)
-        + C(m,(m-1)/2) F_{2n (T6) or n (T7)},  over 5^((m-1)/2),
-    the q- and s-sums running over rows n-1.  `summed(kind, e, j_hi)` is
-    F_e (row[0] + sum_{j=1..j_hi} row[j] L_{ej}) over row n-1 of q (kind
-    "Q") or s ("S"): `_summed_rows` per cell, or `_carried_t6_t7`'s
-    carried sums.  Each term is computed
-    once per (kind, e, effective j bound): row n-1 ends at j = n-1, so
-    T7's 'printed' (j <= n) and 'j-to-n-1' share every sum.  `f_tail`,
-    when given, is the tail's Fibonacci number.
+class _T6T7Form(NamedTuple):
+    """T6 (m = 4p+1) or T7 (m = 4p+3) at one p.  At n the printed form is
+      sum_{t<=t_hi} C(m,2t) F_e Q_e - (-1)^n sum_{t<p} C(m,2t+1) F_e S_e
+        + C(m,(m-1)/2) F_{dn},  over 5^((m-1)/2),
+    Q_e (e = m-4t) and S_e (e = m-4t-2) being row[0] + sum_{j>=1} row[j]
+    L_{ej} over rows n-1 of q and s.  Each printed j bound, n-1 or n,
+    reaches the end of row n-1 (q(n-1,n) = 0), so the readings differ only
+    in t_hi.
     """
+
+    q: dict  # {("Q", e): C(m,2t) F_e} for t = 0..p
+    s: dict  # {("S", e): C(m,2t+1) F_e} for t = 0..p-1
+    t_hi: dict  # {reading: the last t of the q sum}; -1 leaves it empty
+    tail: int  # C(m, (m-1)/2)
+    d: int  # the tail's Fibonacci number is F_{dn}
+    five_exp: int  # (m-1)/2
+
+
+def _t6_t7_form(family: IdentityFamily, p: int) -> _T6T7Form:
+    """The `_T6T7Form` of T6 or T7 at p: the one place that knows m, the
+    (kind, e) sums, their weights and each reading's t bound."""
     if family is IdentityFamily.T6:
-        m, tail_index = 4 * p + 1, 2 * n
-        bounds = {"printed": (p - 1, n - 1), "t-to-p": (p, n - 1)}
+        m, d, t_hi = 4 * p + 1, 2, {"printed": p - 1, "t-to-p": p}
     else:
-        m, tail_index = 4 * p + 3, n
-        bounds = {"printed": (p, n), "t-to-p-1": (p - 1, n), "j-to-n-1": (p, n - 1)}
-    terms: dict = {}
+        m, d, t_hi = 4 * p + 3, 1, {"printed": p, "t-to-p-1": p - 1, "j-to-n-1": p}
+    q = {("Q", m - 4 * t): binomial(m, 2 * t) * fib(m - 4 * t) for t in range(p + 1)}
+    s = {("S", m - 4 * t - 2): binomial(m, 2 * t + 1) * fib(m - 4 * t - 2) for t in range(p)}
+    return _T6T7Form(q, s, t_hi, binomial(m, m // 2), d, m // 2)
 
-    def term(kind: str, c: int, e: int, j_hi: int) -> int:
-        # (kind, e) fixes c, so the key fixes the whole term.
-        k = min(j_hi, n - 1)
-        if (kind, e, k) not in terms:
-            terms[kind, e, k] = binomial(m, c) * summed(kind, e, j_hi)
-        return terms[kind, e, k]
 
-    part2 = sum(term("S", 2 * t + 1, m - 4 * t - 2, n - 1) for t in range(p))
-    tail = binomial(m, m // 2) * (fib(tail_index) if f_tail is None else f_tail)
-    out = {}
-    for reading in readings:
-        t_hi, j_hi = bounds[reading]
-        part1 = sum(term("Q", 2 * t, m - 4 * t, j_hi) for t in range(t_hi + 1))
-        out[reading] = _reduce(part1 - (-1) ** n * part2 + tail, 0, m // 2)
-    return out
+def _t6_t7_rhs(form: _T6T7Form, n: int, readings, sums: dict, f_tail: int) -> dict:
+    """{reading: closed form} of `form` at n, from `sums`, the
+    {(kind, e): row sum} of rows n-1, and f_tail = F_{dn}."""
+    # part1[t + 1] is the q sum up to t, so part1[0] = 0 is the empty sum.
+    part1 = list(accumulate((w * sums[key] for key, w in form.q.items()), initial=0))
+    part2 = sum(w * sums[key] for key, w in form.s.items())
+    rest = form.tail * f_tail - (-1) ** n * part2
+    return {r: _reduce(part1[form.t_hi[r] + 1] + rest, 0, form.five_exp) for r in readings}
+
+
+def _t6_t7_cell(form: _T6T7Form, n: int, readings) -> dict:
+    """`_t6_t7_rhs` at one n: rows n-1 of q and s built by `coeff_row` and
+    summed by `_lucas_weighted_sum`, and F_{dn} from `fib`.  Row -1 is
+    empty, since every binomial in the defining sum of q(-1, c) vanishes."""
+    rows = {kind: coeff_row(kind, n - 1) if n >= 1 else () for kind in "QS"}
+    sums = {(k, e): _lucas_weighted_sum(rows[k], e, lucas(e)) for k, e in (*form.q, *form.s)}
+    return _t6_t7_rhs(form, n, readings, sums, fib(form.d * n))
 
 
 def closed_form_rhs(
@@ -336,7 +334,8 @@ def closed_form_rhs(
     evaluates to something outside both the rationals and the golden ring
     (the audit records that as a FAIL with the exact value in the note).
     """
-    if reading not in FAMILY_READINGS.get(family, ()):
+    facts = FAMILY_FACTS[family]
+    if facts.power is None or reading not in facts.readings:
         raise ValueError(f"unknown reading {reading!r} for {family.value}")
 
     if family is IdentityFamily.T2:
@@ -379,7 +378,7 @@ def closed_form_rhs(
         return _reduce(-total if n % 2 else total, 0, 2 * p + 1)
 
     if family in (IdentityFamily.T6, IdentityFamily.T7):
-        return _t6_t7_rhs(family, n, p, (reading,), _summed_rows(n - 1))[reading]
+        return _t6_t7_cell(_t6_t7_form(family, p), n, (reading,))[reading]
 
     raise ValueError(f"{family.value} has no closed-form evaluator")
 
@@ -719,22 +718,15 @@ def _row_sums(keys):
         }
 
 
-def _carried_t6_t7(family: IdentityFamily, p: int, readings):
-    """`_t6_t7_rhs` at n = 0, 1, 2, ..., each weighted sum of row n-1 read
-    from `_row_sums` (row -1 is empty) and F_e taken once per column.  Every
-    j bound of a reading reaches the end of row n-1, so each sum is the
-    whole row's.  The tail's F_{dn}, d = 2 (T6) or 1 (T7), is carried from
-    the previous n."""
-    m = 4 * p + (1 if family is IdentityFamily.T6 else 3)
-    keys = [("Q", m - 4 * t) for t in range(p + 1)] + [("S", m - 4 * t - 2) for t in range(p)]
-    f_e = {e: fib(e) for _, e in keys}
-    d = 2 if family is IdentityFamily.T6 else 1
-    f_dn = _recurrent([0], [fib(d)], [lucas(d)], [(-1) ** d])
-    for n, sums in enumerate(chain([dict.fromkeys(keys, 0)], _row_sums(keys))):
-        def summed(kind: str, e: int, j_hi: int) -> int:
-            return f_e[e] * sums[kind, e]
-
-        yield _t6_t7_rhs(family, n, p, readings, summed, next(f_dn)[0])
+def _carried_t6_t7(form: _T6T7Form, readings):
+    """`_t6_t7_rhs` of `form` at n = 0, 1, 2, ..., with the sums of rows
+    n-1 read from `_row_sums` (row -1 is empty) and the tail's F_{dn}
+    carried from the previous n."""
+    keys = [*form.q, *form.s]
+    f_dn = _recurrent([0], [fib(form.d)], [lucas(form.d)], [(-1) ** form.d])
+    row_sums = chain([dict.fromkeys(keys, 0)], _row_sums(keys))
+    for n, sums, (f_tail,) in zip(count(), row_sums, f_dn):
+        yield _t6_t7_rhs(form, n, readings, sums, f_tail)
 
 
 def _carried_lemma(shift: int):
@@ -808,17 +800,19 @@ class _OracleColumn(_Column):
     """T2..T7: the left side sum_k sigma^k C(n,k) F_k^P.  A dense column reads
     it off one transform of length N+1 and takes its closed forms from
     `_carried_t2_t5`, `_carried_t4` or `_carried_t6_t7`; a cell takes the
-    oracle and `closed_form_rhs`, or for T6/T7 `_t6_t7_rhs` over the rows
-    n-1 that `_summed_rows` builds."""
+    oracle and `closed_form_rhs`, or for T6/T7 `_t6_t7_cell` of the
+    column's `_t6_t7_form`, which T6/T7 build once."""
 
     def build(self) -> None:
         facts = FAMILY_FACTS[self.family]
         self.power, self.sign, self.readings = facts.power(self.p), facts.sign, facts.readings
+        t6_t7 = self.family in (IdentityFamily.T6, IdentityFamily.T7)
+        self.form = _t6_t7_form(self.family, self.p) if t6_t7 else None
 
     def reference(self, n: int) -> tuple:
         lhs = fib_power_sum_oracle(n, self.power, self.sign)
-        if self.family in (IdentityFamily.T6, IdentityFamily.T7):
-            return lhs, _t6_t7_rhs(self.family, n, self.p, self.readings, _summed_rows(n - 1))
+        if self.form is not None:
+            return lhs, _t6_t7_cell(self.form, n, self.readings)
         return lhs, {r: _caught(closed_form_rhs, self.family, n, self.p, r) for r in self.readings}
 
     def dense_sides(self):
@@ -830,8 +824,8 @@ class _OracleColumn(_Column):
             terms.append(s * fk**self.power)
             s, fk, fk1 = s * sigma, fk1, fk + fk1
         values = binomial_transform(Seq(tuple(terms))).values
-        if self.family in (IdentityFamily.T6, IdentityFamily.T7):
-            forms = _carried_t6_t7(self.family, self.p, self.readings)
+        if self.form is not None:
+            forms = _carried_t6_t7(self.form, self.readings)
         elif self.family in (IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD):
             values, forms = values[n0::2], _carried_t4(self.family, self.p, n0)
         else:
@@ -924,11 +918,6 @@ FAMILY_FACTS: dict[IdentityFamily, FamilyFacts] = {
     IdentityFamily.LEMMA5: FamilyFacts(_PRINTED, None, (0, 1), _LemmaColumn),
     IdentityFamily.LEMMA7: FamilyFacts(_PRINTED, None, (0, 1), _LemmaColumn),
 }
-
-#: The readings, and (Fibonacci power as a function of p, oracle sign), per
-#: closed-form family.
-FAMILY_READINGS = {f: x.readings for f, x in FAMILY_FACTS.items() if x.power}
-FAMILY_POWER_SIGN = {f: (x.power, x.sign) for f, x in FAMILY_FACTS.items() if x.power}
 
 
 def _column(family: IdentityFamily, p: int | None, n_values: tuple) -> _Column | None:

@@ -78,7 +78,9 @@ class GoldenInt:
 
     def __init__(self, u: int, v: int) -> None:
         if (u - v) % 2:
-            raise ValueError(f"parity violation: u={u}, v={v} (need u ≡ v mod 2)")
+            raise ValueError(
+                f"parity violation: u={decimal_str(u)}, v={decimal_str(v)} (need u ≡ v mod 2)"
+            )
         self.u = u
         self.v = v
 
@@ -157,7 +159,7 @@ class GoldenInt:
         return hash((self.u, self.v))
 
     def __repr__(self) -> str:
-        return f"GoldenInt({self.u}, {self.v})"
+        return f"GoldenInt({decimal_str(self.u)}, {decimal_str(self.v)})"
 
     def __str__(self) -> str:
         v = decimal_str(self.v)

@@ -325,6 +325,35 @@ class _CountingSink:
         self.chars += len(text)
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_write_report_drops_each_chunk_before_making_the_next(monkeypatch, tmp_path, to_file):
+    # Three 1 MB chunks, each made after the last was written.  When the
+    # next is begun, nothing of the last may still be traced.  Writing to a
+    # file copies each chunk into bytes, so only stdout bounds the peak.
+    traced = []
+
+    def chunks():
+        for _ in range(3):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            yield "x" * 10**6
+
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        rc = cli._write_report(str(tmp_path / "report.txt") if to_file else None, chunks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert max(traced) < 500_000, traced
+    if to_file:
+        assert (tmp_path / "report.txt").stat().st_size == 3 * 10**6
+    else:
+        assert sink.chars == 3 * 10**6
+        assert peak < 1_500_000, peak
+
+
 @pytest.mark.parametrize("output_format", ["text", "csv", "json"])
 def test_tables_memory_stays_below_report_size(monkeypatch, output_format):
     # The report is written row by row and only the S section's chunks are

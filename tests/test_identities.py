@@ -13,8 +13,7 @@ from hypothesis import given, strategies as st
 from fibaudit import identities
 
 from fibaudit.identities import (
-    FAMILY_POWER_SIGN,
-    FAMILY_READINGS,
+    FAMILY_FACTS,
     FastPathMismatch,
     _lucas_weighted_sum,
     _reduce,
@@ -152,13 +151,9 @@ def test_lucas_weighted_sum_matches_lucas_calls():
         for n in (0, 1, 2, 9, 40):
             row = coeff_row(kind, n)
             for e in (0, 1, 2, 3, 4, 7, 10, 13):
-                for j_hi in (n - 1, n, n + 1):
-                    want = row[0] + sum(
-                        row[j] * lucas(e * j) for j in range(1, min(j_hi, n) + 1)
-                    )
-                    got = _lucas_weighted_sum(row, e, j_hi, lucas(e))
-                    assert got == want, (kind, n, e, j_hi)
-    assert _lucas_weighted_sum((), 5, 3, lucas(5)) == 0
+                want = row[0] + sum(row[j] * lucas(e * j) for j in range(1, n + 1))
+                assert _lucas_weighted_sum(row, e, lucas(e)) == want, (kind, n, e)
+    assert _lucas_weighted_sum((), 5, lucas(5)) == 0
 
 
 def test_t6_p0_is_even_fib():
@@ -327,7 +322,7 @@ def test_audit_dense_grid_calls_the_oracle_at_sample_cells_only(monkeypatch):
     cells = audit_cells(families, n_range, p_range)
     want = []
     for family in families:
-        power, sign = FAMILY_POWER_SIGN[family]
+        power, sign = FAMILY_FACTS[family].power, FAMILY_FACTS[family].sign
         for p in p_range:
             ns = sorted({c[1] for c in cells if c[0] is family and c[2] == p})
             if not ns:
@@ -576,7 +571,7 @@ def test_row_sums_match_lucas_weighted_sums_of_rows():
     for n, sums in zip(range(81), identities._row_sums(keys)):
         assert set(sums) == set(keys)
         for kind, e in keys:
-            want = _lucas_weighted_sum(coeff_row(kind, n), e, n, lucas(e))
+            want = _lucas_weighted_sum(coeff_row(kind, n), e, lucas(e))
             assert sums[kind, e] == want, (kind, e, n)
 
 
@@ -587,6 +582,20 @@ def test_prop1_dense_columns_match_prop1_eval_at_every_n():
     for e in entries:
         lhs, rhs = prop1_eval(e.n, e.p, int(e.family.split("_")[1]))
         assert (e.lhs, e.rhs, e.verdict) == (render_exact(lhs), render_exact(rhs), "PASS")
+
+
+def test_t6_t7_dense_columns_match_closed_form_rhs_at_every_n():
+    # p = 0 included: T6 'printed' and T7 't-to-p-1' then have an empty
+    # first t-sum.
+    assert identities._t6_t7_form(F.T6, 0).t_hi["printed"] == -1
+    assert identities._t6_t7_form(F.T7, 0).t_hi["t-to-p-1"] == -1
+    entries = audit([F.T6, F.T7], range(101), range(7)).entries
+    assert len(entries) == 101 * 7 * 5
+    for e in entries:
+        family = IdentityFamily(e.family)
+        assert e.rhs == render_exact(closed_form_rhs(family, e.n, e.p, e.reading)), e[:4]
+        if e.reading in ("printed", "j-to-n-1"):
+            assert e.verdict == "PASS", e[:4]
 
 
 @pytest.mark.parametrize("family, p", [(F.T7, 1), (F.LEMMA5, 0)])
@@ -653,8 +662,8 @@ def test_closed_form_grid_digest():
     NotIntegral message, hashed.  The digest was taken from the Fraction
     evaluation that `_reduce` replaced."""
     lines = []
-    for family, readings in FAMILY_READINGS.items():
-        for reading in readings:
+    for family, facts in FAMILY_FACTS.items():
+        for reading in facts.readings if facts.power else ():
             for n in range(41):
                 for p in range(5):
                     head = f"{family.value} {reading} {n} {p}"
@@ -699,7 +708,7 @@ def test_audit_json_escapes_strings_as_json_dumps(text):
 def test_audit_cells_cover_readings():
     cells = audit_cells([F.T4_ODD], range(2), range(1, 2))
     readings = {c[3] for c in cells}
-    assert readings == set(FAMILY_READINGS[F.T4_ODD])
+    assert readings == set(FAMILY_FACTS[F.T4_ODD].readings)
 
 
 def _audit_cells_reference(families, n_range, p_range) -> list[tuple]:
@@ -733,7 +742,7 @@ def _audit_cells_reference(families, n_range, p_range) -> list[tuple]:
                         continue
                     if family is IdentityFamily.T4_ODD and n % 2 != 1:
                         continue
-                    for reading in sorted(FAMILY_READINGS[family]):
+                    for reading in sorted(FAMILY_FACTS[family].readings):
                         cells.append((family, n, p, reading))
     return cells
 

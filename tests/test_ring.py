@@ -1,3 +1,6 @@
+import re
+from decimal import Decimal
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -46,6 +49,23 @@ def test_parity_invariant_enforced():
                lambda: bad - PHI):
         with pytest.raises(ValueError):
             op()
+
+
+@pytest.mark.parametrize("digits", [10, 4300, 4301, 5001])
+def test_parity_message_is_exact_on_both_sides_of_the_limit(digits):
+    u = 10 ** (digits - 1) + 1  # odd, against an even v
+    with pytest.raises(ValueError) as raised:
+        GoldenInt(u, 2)
+    assert str(raised.value) == f"parity violation: u={decimal_str(u)}, v=2 (need u ≡ v mod 2)"
+
+
+@pytest.mark.parametrize("digits", [1, 4300, 4301, 5001])
+def test_repr_round_trips_on_both_sides_of_the_limit(digits):
+    # int(str) has the same limit as str(int), so the digits are read back
+    # through Decimal.
+    for a in (GoldenInt(2 * 10 ** (digits - 1) + 2, 2), GoldenInt(-3, -(10 ** digits) + 1)):
+        u, v = re.fullmatch(r"GoldenInt\((-?\d+), (-?\d+)\)", repr(a)).groups()
+        assert GoldenInt(int(Decimal(u)), int(Decimal(v))) == a
 
 
 def test_defining_relations():
