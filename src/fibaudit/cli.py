@@ -84,8 +84,11 @@ def _parse_families(families: str) -> list[IdentityFamily]:
 
 def _emit(out, payload: str) -> None:
     # Every report byte passes through here, one str at a time;
-    # perfbench/spans.py wraps this function by name to count them.
-    out.write(payload)
+    # perfbench/spans.py wraps this function by name to count them.  A text
+    # file encodes each str it is given into one bytes object, so the
+    # payload goes in 64 KiB slices rather than copied whole.
+    for start in range(0, len(payload), 1 << 16):
+        out.write(payload[start:start + (1 << 16)])
 
 
 def _write_report(path: str | None, chunks: Iterable[str]) -> int:

@@ -8,26 +8,27 @@ brute-force oracle; disagreements are reported as FAIL verdicts, never
 silently corrected.
 
 `FAMILY_FACTS` holds what each family is: the p and n of its cells, its
-readings, its column kind and its --families group tag.  `audit_columns`
-evaluates the grid one (family, p) column at a time and yields each
-column's entries; `audit` collects them, and `REPORT_FORMATS` writes them
-one column per chunk.  Each column gives its sides two ways, each as (left
-side, {reading: right side, or the NotIntegral/NotDivisible it raised}):
-`reference(n)` evaluates one cell (`fib_power_sum_oracle`,
-`closed_form_rhs` or T6/T7's `_t6_t7_cell`, the direct LEMMA and PROP1
-sums, each building the q/s rows it reads), and `dense_sides()` iterates
-over the column's n values.  What depends only on (family, p) is built
-once by the column's first cell; for T6/T7 that is the `_t6_t7_form`
-record, the one place that knows their (kind, e) sums, weights and
-per-reading t bounds, which both routes evaluate by `_t6_t7_rhs`.  A
-column is dense when its n values are every n its family takes up to N:
+readings, its column kind, its --families group tag and, for T2..T7, the
+builder of its closed-form record (`_T2T5Form`, `_T4Form`, `_T6T7Form`):
+the family's printed form at one p, held as data.  A record's `rhs` is the
+weighted dot product, the signs and one `_reduce`; `cell(n, readings)`
+builds its inputs from `fib`, `lucas` and `coeff_row`, and
+`dense(readings, n0)` carries them from one n to the next.
+`audit_columns` evaluates the grid one (family, p) column at a time and
+yields each column's entries; `audit` collects them, and `REPORT_FORMATS`
+writes them one column per chunk.  Each column gives its sides two ways,
+each as (left side, {reading: right side, or the NotIntegral/NotDivisible
+it raised}): `reference(n)` evaluates one cell (`fib_power_sum_oracle` and
+the record's `cell`, the direct LEMMA and PROP1 sums, each building the q/s
+rows it reads), and `dense_sides()` iterates over the column's n values.
+A column is dense when its n values are every n its family takes up to N:
 0..N in every CLI audit, or one parity for T4.  Its sides are then carried
 from one n to the next, holding O(1) values per n: the left sides of T2..T7,
 sum_k C(n,k) sigma^k F_k^P, are read off one binomial transform; PROP1's,
 sum_k C(n,k) w^k F_k, follow an order-2 recurrence, and LEMMA5/7's direct
-sums D_{n+1} = (a+shift) D_n + (b+shift)^(n+1).  On the right, the
-Fibonacci and Lucas factors of T2..T5 and PROP1's numerator powers step,
-and each Lucas-weighted q/s sum of T6/T7 and LEMMA5/7 is one coordinate of
+sums D_{n+1} = (a+shift) D_n + (b+shift)^(n+1).  On the right, the records
+and PROP1 step their Fibonacci and Lucas factors and numerator powers, and
+each Lucas-weighted q/s sum of T6/T7 and LEMMA5/7 is one coordinate of
 P_n(x) = sum_c q(n,c) x^c at x = +-phi^e, with P_n stepped by the q
 recurrences (`_row_sums`), so no row is formed.  `_Column.sides(n)` takes
 the next dense value, or in any other column (such as a single large n)
@@ -42,7 +43,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
@@ -117,9 +118,17 @@ def _sign_value(sign: str) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def _nonnegative(**values: int) -> None:
+    """Raise ValueError naming the first of the arguments that is negative."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def fib_power_sum_oracle(n: int, p: int, sign: str = "+") -> int:
     """sum_{k=0..n} (+-1)^k C(n,k) F_k^p by direct big-integer summation."""
     sigma = _sign_value(sign)
+    _nonnegative(n=n, p=p)
     total = 0
     c = 1  # C(n, k), updated incrementally
     fk, fk1 = 0, 1
@@ -137,6 +146,7 @@ def fib_power_sum_binet(n: int, p: int, sign: str = "+") -> int:
     (phi^k - psi^k)^p and the sqrt5^p divisor is removed by checked
     division.  Structurally independent of the integer recurrence."""
     sigma = _sign_value(sign)
+    _nonnegative(n=n, p=p)
     total = GoldenInt(0, 0)
     xk = ONE
     yk = ONE
@@ -276,6 +286,99 @@ def _lucas_weighted_sum(row: tuple[int, ...], e: int, le: int) -> int:
     return total
 
 
+def _multiples(x, js, n0: int, d: int):
+    """Yield [x(j n) for j in js] at n = n0, n0+d, n0+2d, ..., for x = fib or
+    lucas, by X_{a+jd} = L_{jd} X_a - (-1)^(jd) X_{a-jd}."""
+    return _recurrent(
+        [x(j * n0) for j in js], [x(j * (n0 + d)) for j in js],
+        [lucas(j * d) for j in js], [(-1) ** (j * d) for j in js],
+    )
+
+
+class _T2T5Form(NamedTuple):
+    """T2 (m = 4p), T3 or T5 (m = 4p+2) at one p.  At n the printed form is
+      sign (head 2^n + sum_i eps_i C(m,i) B_j^n L_{jn}) sqrt5^(sqrt5 n) / 5^(m/2),
+    j = m/2 - i, with eps_i = (-1)^i at even n and 1 at odd n, and sign =
+    odd_sign at odd n and 1 at even n."""
+
+    js: range  # m/2 down to 1, or to 0 for T3
+    plain: list  # C(m, i): the weights at odd n
+    signed: list  # (-1)^i C(m, i): the weights at even n
+    head: int  # C(m, m/2), or 0 for T3
+    base: Callable[[int], int]  # B: lucas, or fib for T3
+    sqrt5: int  # the power of sqrt5 is sqrt5 * n: 1 for T3, else 0
+    odd_sign: int  # -1 for T5, else 1
+    five_exp: int  # m/2
+
+    def rhs(self, n: int, readings, b_j_n, l_jn) -> dict:
+        sign, weights = (self.odd_sign, self.plain) if n % 2 else (1, self.signed)
+        total = sign * (self.head * 2**n + _dot(weights, map(mul, b_j_n, l_jn)))
+        return dict.fromkeys(readings, _caught(_reduce, total, self.sqrt5 * n, self.five_exp))
+
+    def cell(self, n: int, readings) -> dict:
+        b_j_n = [self.base(j) ** n for j in self.js]
+        return self.rhs(n, readings, b_j_n, [lucas(j * n) for j in self.js])
+
+    def dense(self, readings, n0: int):
+        bases = [self.base(j) for j in self.js]
+        b_j_n = _geometric(bases, [b**n0 for b in bases])
+        l_jn = _multiples(lucas, self.js, n0, 1)
+        return map(self.rhs, count(n0), repeat(readings), b_j_n, l_jn)
+
+
+def _t2_t5_form(family: IdentityFamily, p: int) -> _T2T5Form:
+    m = FAMILY_FACTS[family].power(p)
+    t3 = family is IdentityFamily.T3
+    js = range(m // 2, -1 if t3 else 0, -1)
+    plain = [binomial(m, i) for i in range(len(js))]
+    return _T2T5Form(
+        js, plain, [(-1) ** i * c for i, c in enumerate(plain)],
+        0 if t3 else binomial(m, m // 2), fib if t3 else lucas, int(t3),
+        -1 if family is IdentityFamily.T5 else 1, m // 2,
+    )
+
+
+class _T4Form(NamedTuple):
+    """T4_EVEN or T4_ODD at one p, m = 4p.  At n the printed form is
+      sum_{i<=m/2} (-1)^i C(m,i) X_{jn} B^n sqrt5^(n + sqrt5) / 5^(m/2),
+    j = m/2 - i, with X = L for T4_EVEN and F for T4_ODD (whose
+    (1/sqrt5)^(4p-1) is sqrt5/5^(2p)).  The base B is F_{jn} as printed and
+    F_j in reading "base-subscript".  A dense column steps n by 2."""
+
+    js: range  # m/2 down to 0
+    signed: list  # (-1)^i C(m, i)
+    factor: Callable[[int], int]  # X: lucas for T4_EVEN, fib for T4_ODD
+    sqrt5: int  # the power of sqrt5 is n + sqrt5: 0 for T4_EVEN, 1 for T4_ODD
+    five_exp: int  # m/2
+
+    def rhs(self, n: int, readings, x_jn, f_jn, f_j_n) -> dict:
+        out = {}
+        for r in readings:
+            bases = f_j_n if r == "base-subscript" else [f**n for f in f_jn]
+            total = _dot(self.signed, map(mul, x_jn, bases))
+            out[r] = _caught(_reduce, total, n + self.sqrt5, self.five_exp)
+        return out
+
+    def cell(self, n: int, readings) -> dict:
+        js = self.js
+        x_jn, f_jn = [self.factor(j * n) for j in js], [fib(j * n) for j in js]
+        return self.rhs(n, readings, x_jn, f_jn, [fib(j) ** n for j in js])
+
+    def dense(self, readings, n0: int):
+        f_j = [fib(j) for j in self.js]
+        f_j_n = _geometric([f * f for f in f_j], [f**n0 for f in f_j])
+        x_jn, f_jn = (_multiples(x, self.js, n0, 2) for x in (self.factor, fib))
+        return map(self.rhs, count(n0, 2), repeat(readings), x_jn, f_jn, f_j_n)
+
+
+def _t4_form(family: IdentityFamily, p: int) -> _T4Form:
+    m = FAMILY_FACTS[family].power(p)
+    even = family is IdentityFamily.T4_EVEN
+    js = range(m // 2, -1, -1)
+    signed = [(-1) ** i * binomial(m, i) for i in range(len(js))]
+    return _T4Form(js, signed, lucas if even else fib, 0 if even else 1, m // 2)
+
+
 class _T6T7Form(NamedTuple):
     """T6 (m = 4p+1) or T7 (m = 4p+3) at one p.  At n the printed form is
       sum_{t<=t_hi} C(m,2t) F_e Q_e - (-1)^n sum_{t<p} C(m,2t+1) F_e S_e
@@ -293,41 +396,43 @@ class _T6T7Form(NamedTuple):
     d: int  # the tail's Fibonacci number is F_{dn}
     five_exp: int  # (m-1)/2
 
+    def rhs(self, n: int, readings, sums: dict, f_tail: int) -> dict:
+        """From `sums`, the {(kind, e): row sum} of rows n-1, and f_tail = F_{dn}."""
+        # part1[t + 1] is the q sum up to t, so part1[0] = 0 is the empty sum.
+        part1 = list(accumulate((w * sums[key] for key, w in self.q.items()), initial=0))
+        part2 = sum(w * sums[key] for key, w in self.s.items())
+        rest = self.tail * f_tail - (-1) ** n * part2
+        return {r: _reduce(part1[self.t_hi[r] + 1] + rest, 0, self.five_exp) for r in readings}
+
+    def cell(self, n: int, readings) -> dict:
+        """Rows n-1 of q and s built by `coeff_row` and summed by
+        `_lucas_weighted_sum`, and F_{dn} from `fib`.  Row -1 is empty,
+        since every binomial in the defining sum of q(-1, c) vanishes."""
+        rows = {kind: coeff_row(kind, n - 1) if n >= 1 else () for kind in "QS"}
+        sums = {(k, e): _lucas_weighted_sum(rows[k], e, lucas(e)) for k, e in (*self.q, *self.s)}
+        return self.rhs(n, readings, sums, fib(self.d * n))
+
+    def dense(self, readings, n0: int):
+        """From n0 = 0, as T6/T7 take every n: the sums of rows n-1 read from
+        `_row_sums` (row -1 is empty) and F_{dn} carried."""
+        keys = [*self.q, *self.s]
+        sums = chain([dict.fromkeys(keys, 0)], _row_sums(keys))
+        f_dn = (f for f, in _multiples(fib, [self.d], 0, 1))
+        return map(self.rhs, count(), repeat(readings), sums, f_dn)
+
 
 def _t6_t7_form(family: IdentityFamily, p: int) -> _T6T7Form:
-    """The `_T6T7Form` of T6 or T7 at p: the one place that knows m, the
-    (kind, e) sums, their weights and each reading's t bound."""
+    m = FAMILY_FACTS[family].power(p)
     if family is IdentityFamily.T6:
-        m, d, t_hi = 4 * p + 1, 2, {"printed": p - 1, "t-to-p": p}
+        d, t_hi = 2, {"printed": p - 1, "t-to-p": p}
     else:
-        m, d, t_hi = 4 * p + 3, 1, {"printed": p, "t-to-p-1": p - 1, "j-to-n-1": p}
+        d, t_hi = 1, {"printed": p, "t-to-p-1": p - 1, "j-to-n-1": p}
     q = {("Q", m - 4 * t): binomial(m, 2 * t) * fib(m - 4 * t) for t in range(p + 1)}
     s = {("S", m - 4 * t - 2): binomial(m, 2 * t + 1) * fib(m - 4 * t - 2) for t in range(p)}
     return _T6T7Form(q, s, t_hi, binomial(m, m // 2), d, m // 2)
 
 
-def _t6_t7_rhs(form: _T6T7Form, n: int, readings, sums: dict, f_tail: int) -> dict:
-    """{reading: closed form} of `form` at n, from `sums`, the
-    {(kind, e): row sum} of rows n-1, and f_tail = F_{dn}."""
-    # part1[t + 1] is the q sum up to t, so part1[0] = 0 is the empty sum.
-    part1 = list(accumulate((w * sums[key] for key, w in form.q.items()), initial=0))
-    part2 = sum(w * sums[key] for key, w in form.s.items())
-    rest = form.tail * f_tail - (-1) ** n * part2
-    return {r: _reduce(part1[form.t_hi[r] + 1] + rest, 0, form.five_exp) for r in readings}
-
-
-def _t6_t7_cell(form: _T6T7Form, n: int, readings) -> dict:
-    """`_t6_t7_rhs` at one n: rows n-1 of q and s built by `coeff_row` and
-    summed by `_lucas_weighted_sum`, and F_{dn} from `fib`.  Row -1 is
-    empty, since every binomial in the defining sum of q(-1, c) vanishes."""
-    rows = {kind: coeff_row(kind, n - 1) if n >= 1 else () for kind in "QS"}
-    sums = {(k, e): _lucas_weighted_sum(rows[k], e, lucas(e)) for k, e in (*form.q, *form.s)}
-    return _t6_t7_rhs(form, n, readings, sums, fib(form.d * n))
-
-
-def closed_form_rhs(
-    family: IdentityFamily, n: int, p: int, reading: str = "printed"
-):
+def closed_form_rhs(family: IdentityFamily, n: int, p: int, reading: str = "printed"):
     """Exact value of the printed closed form for the given family.
 
     Returns an ExactScalar; raises NotIntegral when the printed formula
@@ -335,52 +440,13 @@ def closed_form_rhs(
     (the audit records that as a FAIL with the exact value in the note).
     """
     facts = FAMILY_FACTS[family]
-    if facts.power is None or reading not in facts.readings:
+    if facts.form is None or reading not in facts.readings:
         raise ValueError(f"unknown reading {reading!r} for {family.value}")
-
-    if family is IdentityFamily.T2:
-        total = binomial(4 * p, 2 * p) * 2**n
-        for i in range(2 * p):
-            eps = (-1) ** i if n % 2 == 0 else 1
-            j = 2 * p - i
-            total += eps * binomial(4 * p, i) * lucas(j) ** n * lucas(j * n)
-        return _reduce(total, 0, 2 * p)
-
-    if family is IdentityFamily.T3:
-        total = 0
-        for i in range(2 * p + 2):
-            eps = (-1) ** i if n % 2 == 0 else 1
-            j = 2 * p + 1 - i
-            total += eps * binomial(4 * p + 2, i) * fib(abs(j)) ** n * lucas(abs(j) * n)
-        return _reduce(total, n, 2 * p + 1)
-
-    if family in (IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD):
-        even = family is IdentityFamily.T4_EVEN
-        total = 0
-        for i in range(2 * p + 1):
-            j = 2 * p - i
-            f_base = fib(j * n) if reading == "printed" else fib(j)
-            if even:
-                total += (-1) ** i * binomial(4 * p, i) * lucas(j * n) * f_base**n
-            else:
-                total += (-1) ** i * binomial(4 * p, i) * fib(j * n) * f_base**n
-        if even:
-            return _reduce(total, n, 2 * p)
-        # (1/sqrt5)^(4p-1) = sqrt5 / 5^(2p)
-        return _reduce(total, n + 1, 2 * p)
-
-    if family is IdentityFamily.T5:
-        total = binomial(4 * p + 2, 2 * p + 1) * 2**n
-        for i in range(2 * p + 1):
-            eps = (-1) ** i if n % 2 == 0 else 1
-            j = 2 * p + 1 - i
-            total += eps * binomial(4 * p + 2, i) * lucas(j) ** n * lucas(j * n)
-        return _reduce(-total if n % 2 else total, 0, 2 * p + 1)
-
-    if family in (IdentityFamily.T6, IdentityFamily.T7):
-        return _t6_t7_cell(_t6_t7_form(family, p), n, (reading,))[reading]
-
-    raise ValueError(f"{family.value} has no closed-form evaluator")
+    _nonnegative(n=n, p=p)
+    value = facts.form(family, p).cell(n, (reading,))[reading]
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -634,62 +700,6 @@ def _recurrent(first: list, second: list, mult: list, sign: list):
         first, second = second, [m * y - s * x for m, s, x, y in zip(mult, sign, first, second)]
 
 
-def _carried_t2_t5(family: IdentityFamily, p: int):
-    """{"printed": closed form} of T2, T3 or T5 at n = 0, 1, 2, ..., one n
-    per step: the terms of closed_form_rhs summed as printed, with L_j^n or
-    F_j^n and L_{jn} carried from the previous n.  L_{jn} starts at L_0 = 2,
-    which also gives T3's j = 0."""
-    t3 = family is IdentityFamily.T3
-    if family is IdentityFamily.T2:
-        m, js = 4 * p, range(2 * p, 0, -1)
-    else:  # j = 2p+1 down to 0 (T3) or 1 (T5)
-        m, js = 4 * p + 2, range(2 * p + 1, -1 if t3 else 0, -1)
-    head = 0 if t3 else binomial(m, m // 2)
-    plain = [binomial(m, i) for i in range(len(js))]
-    signed = [(-1) ** i * c for i, c in enumerate(plain)]
-    l_j = [lucas(j) for j in js]
-    pows = _geometric([fib(j) for j in js] if t3 else l_j, [1] * len(js))
-    l_jn = _recurrent([2] * len(js), l_j, l_j, [(-1) ** j for j in js])
-    for n in count():
-        terms = map(mul, next(pows), next(l_jn))
-        total = head * 2**n + _dot(plain if n % 2 else signed, terms)
-        if family is IdentityFamily.T2:
-            yield {"printed": _reduce(total, 0, 2 * p)}
-        elif t3:
-            yield {"printed": _caught(_reduce, total, n, 2 * p + 1)}
-        else:
-            yield {"printed": _reduce(-total if n % 2 else total, 0, 2 * p + 1)}
-
-
-def _carried_t4(family: IdentityFamily, p: int, n0: int):
-    """{reading: closed form} of T4_EVEN or T4_ODD at n = n0, n0+2, ...:
-    L_{jn} and F_{jn} carried by X_{j(n+2)} = L_{2j} X_{jn} - X_{j(n-2)},
-    and F_j^n by F_j^2 per step.  The printed reading's F_{jn}^n changes
-    base with n, so it is taken per n."""
-    even = family is IdentityFamily.T4_EVEN
-    js = range(2 * p, -1, -1)
-    coeffs = [(-1) ** i * binomial(4 * p, i) for i in range(2 * p + 1)]
-    f_j = [fib(j) for j in js]
-    l_2j = [lucas(2 * j) for j in js]
-
-    def carried(x):  # x_{jn} for x = fib or lucas
-        first, second = [x(j * n0) for j in js], [x(j * (n0 + 2)) for j in js]
-        return _recurrent(first, second, l_2j, [1] * len(js))
-
-    l_jn, f_jn = carried(lucas), carried(fib)
-    pows = _geometric([f * f for f in f_j], [f**n0 for f in f_j])
-    for n in count(n0, 2):
-        l, f, f_j_n = next(l_jn), next(f_jn), next(pows)
-        sums = {"base-subscript": f_j_n, "printed": [x**n for x in f]}
-        yield {
-            reading: _caught(
-                _reduce, _dot(coeffs, map(mul, l if even else f, bases)),
-                n if even else n + 1, 2 * p,
-            )
-            for reading, bases in sums.items()
-        }
-
-
 def _row_sums(keys):
     """{(kind, e): row[0] + sum_{j>=1} row[j] L_{ej}} for each key, over row
     n of q (kind "Q") or s ("S") at n = 0, 1, 2, ..., with no row formed.
@@ -716,17 +726,6 @@ def _row_sums(keys):
             (kind, e): (poly.u - q0) * (sign if kind == "S" else 1)
             for (kind, e), poly in polys.items()
         }
-
-
-def _carried_t6_t7(form: _T6T7Form, readings):
-    """`_t6_t7_rhs` of `form` at n = 0, 1, 2, ..., with the sums of rows
-    n-1 read from `_row_sums` (row -1 is empty) and the tail's F_{dn}
-    carried from the previous n."""
-    keys = [*form.q, *form.s]
-    f_dn = _recurrent([0], [fib(form.d)], [lucas(form.d)], [(-1) ** form.d])
-    row_sums = chain([dict.fromkeys(keys, 0)], _row_sums(keys))
-    for n, sums, (f_tail,) in zip(count(), row_sums, f_dn):
-        yield _t6_t7_rhs(form, n, readings, sums, f_tail)
 
 
 def _carried_lemma(shift: int):
@@ -797,40 +796,29 @@ class _Column:
 
 
 class _OracleColumn(_Column):
-    """T2..T7: the left side sum_k sigma^k C(n,k) F_k^P.  A dense column reads
-    it off one transform of length N+1 and takes its closed forms from
-    `_carried_t2_t5`, `_carried_t4` or `_carried_t6_t7`; a cell takes the
-    oracle and `closed_form_rhs`, or for T6/T7 `_t6_t7_cell` of the
-    column's `_t6_t7_form`, which T6/T7 build once."""
+    """T2..T7: the left side sum_k sigma^k C(n,k) F_k^P, and the closed forms
+    of the family's record, which `build` makes once per column.  A dense
+    column reads its left sides off one transform of length N+1 and takes
+    the record's `dense`; a cell takes the oracle and the record's `cell`."""
 
     def build(self) -> None:
         facts = FAMILY_FACTS[self.family]
         self.power, self.sign, self.readings = facts.power(self.p), facts.sign, facts.readings
-        t6_t7 = self.family in (IdentityFamily.T6, IdentityFamily.T7)
-        self.form = _t6_t7_form(self.family, self.p) if t6_t7 else None
+        self.form = facts.form(self.family, self.p)
 
     def reference(self, n: int) -> tuple:
-        lhs = fib_power_sum_oracle(n, self.power, self.sign)
-        if self.form is not None:
-            return lhs, _t6_t7_cell(self.form, n, self.readings)
-        return lhs, {r: _caught(closed_form_rhs, self.family, n, self.p, r) for r in self.readings}
+        return fib_power_sum_oracle(n, self.power, self.sign), self.form.cell(n, self.readings)
 
     def dense_sides(self):
-        n0, n_max = self.n_values[0], self.n_values[-1]
         sigma = _sign_value(self.sign)
         terms = []
         s, fk, fk1 = 1, 0, 1
-        for _ in range(n_max + 1):
+        for _ in range(self.n_values[-1] + 1):
             terms.append(s * fk**self.power)
             s, fk, fk1 = s * sigma, fk1, fk + fk1
-        values = binomial_transform(Seq(tuple(terms))).values
-        if self.form is not None:
-            forms = _carried_t6_t7(self.form, self.readings)
-        elif self.family in (IdentityFamily.T4_EVEN, IdentityFamily.T4_ODD):
-            values, forms = values[n0::2], _carried_t4(self.family, self.p, n0)
-        else:
-            forms = _carried_t2_t5(self.family, self.p)
-        return zip(values, forms)
+        r, m = FAMILY_FACTS[self.family].n_mod
+        values = binomial_transform(Seq(tuple(terms))).values[r::m]
+        return zip(values, self.form.dense(self.readings, r))
 
 
 class _Prop1Column(_Column):
@@ -884,10 +872,11 @@ class FamilyFacts(NamedTuple):
     readings: tuple[str, ...]  # the first is the literal reading
     p_min: int | None  # the least p, or None: the family takes no p
     n_mod: tuple[int, int] | None  # (r, m): every n with n % m == r, or None: no n
-    column: type[_Column] | None  # None: REMARK1, whose cells share nothing
     power: Callable[[int], int] | None = None  # T2..T7: the Fibonacci power at p
     sign: str | None = None  # T2..T7: the oracle's sign
+    form: Callable | None = None  # T2..T7: (family, p) -> its closed-form record
     group: str | None = None  # the --families tag that names it with its kin
+    column: type[_Column] | None = _OracleColumn  # None: REMARK1, whose cells share nothing
 
     def ps(self, p_values: list) -> list:
         return [None] if self.p_min is None else [p for p in p_values if p >= self.p_min]
@@ -901,22 +890,22 @@ class FamilyFacts(NamedTuple):
 # The readings of most families, and of T4, T6 and T7.
 _PRINTED, _T4 = ("printed",), ("printed", "base-subscript")
 _T6, _T7 = ("printed", "t-to-p"), ("printed", "t-to-p-1", "j-to-n-1")
-_REMARK1 = FamilyFacts(_PRINTED, 1, None, None, group="REMARK1")
-_PROP1 = FamilyFacts(_PRINTED, 0, (0, 1), _Prop1Column, group="PROP1")
+_REMARK1 = FamilyFacts(_PRINTED, 1, None, group="REMARK1", column=None)
+_PROP1 = FamilyFacts(_PRINTED, 0, (0, 1), group="PROP1", column=_Prop1Column)
 
 #: The facts of every family, in enum order.
 FAMILY_FACTS: dict[IdentityFamily, FamilyFacts] = {
     **{IdentityFamily(f"REMARK1_{i}"): _REMARK1 for i in range(1, 13)},
     **{IdentityFamily(f"PROP1_{v}"): _PROP1 for v in (811, 812, 813, 814)},
-    IdentityFamily.T2: FamilyFacts(_PRINTED, 1, (0, 1), _OracleColumn, lambda p: 4 * p, "+"),
-    IdentityFamily.T3: FamilyFacts(_PRINTED, 0, (0, 1), _OracleColumn, lambda p: 4 * p + 2, "+"),
-    IdentityFamily.T4_EVEN: FamilyFacts(_T4, 1, (0, 2), _OracleColumn, lambda p: 4 * p, "-", "T4"),
-    IdentityFamily.T4_ODD: FamilyFacts(_T4, 1, (1, 2), _OracleColumn, lambda p: 4 * p, "-", "T4"),
-    IdentityFamily.T5: FamilyFacts(_PRINTED, 0, (0, 1), _OracleColumn, lambda p: 4 * p + 2, "-"),
-    IdentityFamily.T6: FamilyFacts(_T6, 0, (0, 1), _OracleColumn, lambda p: 4 * p + 1, "+"),
-    IdentityFamily.T7: FamilyFacts(_T7, 0, (0, 1), _OracleColumn, lambda p: 4 * p + 3, "+"),
-    IdentityFamily.LEMMA5: FamilyFacts(_PRINTED, None, (0, 1), _LemmaColumn),
-    IdentityFamily.LEMMA7: FamilyFacts(_PRINTED, None, (0, 1), _LemmaColumn),
+    IdentityFamily.T2: FamilyFacts(_PRINTED, 1, (0, 1), lambda p: 4 * p, "+", _t2_t5_form),
+    IdentityFamily.T3: FamilyFacts(_PRINTED, 0, (0, 1), lambda p: 4 * p + 2, "+", _t2_t5_form),
+    IdentityFamily.T4_EVEN: FamilyFacts(_T4, 1, (0, 2), lambda p: 4 * p, "-", _t4_form, "T4"),
+    IdentityFamily.T4_ODD: FamilyFacts(_T4, 1, (1, 2), lambda p: 4 * p, "-", _t4_form, "T4"),
+    IdentityFamily.T5: FamilyFacts(_PRINTED, 0, (0, 1), lambda p: 4 * p + 2, "-", _t2_t5_form),
+    IdentityFamily.T6: FamilyFacts(_T6, 0, (0, 1), lambda p: 4 * p + 1, "+", _t6_t7_form),
+    IdentityFamily.T7: FamilyFacts(_T7, 0, (0, 1), lambda p: 4 * p + 3, "+", _t6_t7_form),
+    IdentityFamily.LEMMA5: FamilyFacts(_PRINTED, None, (0, 1), column=_LemmaColumn),
+    IdentityFamily.LEMMA7: FamilyFacts(_PRINTED, None, (0, 1), column=_LemmaColumn),
 }
 
 

@@ -327,9 +327,10 @@ class _CountingSink:
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_write_report_drops_each_chunk_before_making_the_next(monkeypatch, tmp_path, to_file):
-    # Three 1 MB chunks, each made after the last was written.  When the
-    # next is begun, nothing of the last may still be traced.  Writing to a
-    # file copies each chunk into bytes, so only stdout bounds the peak.
+    # Three 1 MB chunks, each made after the last was written, to a real
+    # text file: --out, or standard output.  When the next is begun,
+    # nothing of the last may still be traced, and no chunk may be held
+    # twice, as a text file's encoded copy of it would be.
     traced = []
 
     def chunks():
@@ -337,21 +338,19 @@ def test_write_report_drops_each_chunk_before_making_the_next(monkeypatch, tmp_p
             traced.append(tracemalloc.get_traced_memory()[0])
             yield "x" * 10**6
 
-    sink = _CountingSink()
-    monkeypatch.setattr(sys, "stdout", sink)
-    tracemalloc.start()
-    try:
-        rc = cli._write_report(str(tmp_path / "report.txt") if to_file else None, chunks())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    written = tmp_path / ("report.txt" if to_file else "stdout.txt")
+    with open(tmp_path / "stdout.txt", "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            rc = cli._write_report(str(written) if to_file else None, chunks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert rc == 0
     assert max(traced) < 500_000, traced
-    if to_file:
-        assert (tmp_path / "report.txt").stat().st_size == 3 * 10**6
-    else:
-        assert sink.chars == 3 * 10**6
-        assert peak < 1_500_000, peak
+    assert written.stat().st_size == 3 * 10**6
+    assert peak < 1_500_000, peak
 
 
 @pytest.mark.parametrize("output_format", ["text", "csv", "json"])

@@ -216,6 +216,23 @@ def test_unknown_reading_rejected():
         closed_form_rhs(F.T2, 1, 1, "bogus")
 
 
+@pytest.mark.parametrize(
+    "evaluator, args, name",
+    [
+        (closed_form_rhs, (F.T2, -1, 0), "n"),
+        (closed_form_rhs, (F.T4_EVEN, -2, 0), "n"),
+        (closed_form_rhs, (F.T7, 3, -1), "p"),
+        (fib_power_sum_oracle, (-1, 2), "n"),
+        (fib_power_sum_binet, (-1, 2), "n"),
+        (fib_power_sum_oracle, (3, -1), "p"),
+        (fib_power_sum_binet, (3, -1), "p"),
+    ],
+)
+def test_negative_n_or_p_is_rejected(evaluator, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
+        evaluator(*args)
+
+
 def test_cross_power_expansion_examples():
     direct, expanded = cross_power_expansion(0, PHI, 1)
     assert direct == expanded == 1
@@ -584,18 +601,38 @@ def test_prop1_dense_columns_match_prop1_eval_at_every_n():
         assert (e.lhs, e.rhs, e.verdict) == (render_exact(lhs), render_exact(rhs), "PASS")
 
 
+def _dense_entries_matching_closed_form_rhs(families):
+    """The entries of a dense audit of `families` at n <= 100, p <= 6, each
+    checked against `closed_form_rhs` at its own n: the rendered value, or
+    the NotIntegral message."""
+    entries = audit(families, range(101), range(7)).entries
+    for e in entries:
+        try:
+            want = render_exact(closed_form_rhs(IdentityFamily(e.family), e.n, e.p, e.reading))
+        except NotIntegral as exc:
+            want = str(exc)
+        assert e.rhs == want, e[:4]
+    return entries
+
+
 def test_t6_t7_dense_columns_match_closed_form_rhs_at_every_n():
     # p = 0 included: T6 'printed' and T7 't-to-p-1' then have an empty
     # first t-sum.
     assert identities._t6_t7_form(F.T6, 0).t_hi["printed"] == -1
     assert identities._t6_t7_form(F.T7, 0).t_hi["t-to-p-1"] == -1
-    entries = audit([F.T6, F.T7], range(101), range(7)).entries
+    entries = _dense_entries_matching_closed_form_rhs([F.T6, F.T7])
     assert len(entries) == 101 * 7 * 5
     for e in entries:
-        family = IdentityFamily(e.family)
-        assert e.rhs == render_exact(closed_form_rhs(family, e.n, e.p, e.reading)), e[:4]
         if e.reading in ("printed", "j-to-n-1"):
             assert e.verdict == "PASS", e[:4]
+
+
+def test_t2_t5_dense_columns_match_closed_form_rhs_at_every_n():
+    # T2 and T4 start at p = 1; T4_EVEN takes 51 even n and T4_ODD 50 odd
+    # ones, each in two readings.  T3's odd n raise NotIntegral.
+    entries = _dense_entries_matching_closed_form_rhs([F.T2, F.T3, F.T4_EVEN, F.T4_ODD, F.T5])
+    assert len(entries) == 101 * (6 + 7 + 7) + (51 + 50) * 6 * 2
+    assert any(e.note == "closed form is not a rational integer" for e in entries)
 
 
 @pytest.mark.parametrize("family, p", [(F.T7, 1), (F.LEMMA5, 0)])
