@@ -8,32 +8,31 @@ brute-force oracle; disagreements are reported as FAIL verdicts, never
 silently corrected.
 
 `FAMILY_FACTS` holds what each family is: the p and n of its cells, its
-readings, its column kind, its --families group tag and, for T2..T7, the
-builder of its closed-form record (`_T2T5Form`, `_T4Form`, `_T6T7Form`):
-the family's printed form at one p, held as data.  A record's `rhs` is the
-weighted dot product, the signs and one `_reduce`; `cell(n, readings)`
-builds its inputs from `fib`, `lucas` and `coeff_row`, and
-`dense(readings, n0)` carries them from one n to the next.
-`audit_columns` evaluates the grid one (family, p) column at a time and
-yields each column's entries; `audit` collects them, and `REPORT_FORMATS`
-writes them one column per chunk.  Each column gives its sides two ways,
-each as (left side, {reading: right side, or the NotIntegral/NotDivisible
-it raised}): `reference(n)` evaluates one cell (`fib_power_sum_oracle` and
-the record's `cell`, the direct LEMMA and PROP1 sums, each building the q/s
-rows it reads), and `dense_sides()` iterates over the column's n values.
-A column is dense when its n values are every n its family takes up to N:
-0..N in every CLI audit, or one parity for T4.  Its sides are then carried
-from one n to the next, holding O(1) values per n: the left sides of T2..T7,
-sum_k C(n,k) sigma^k F_k^P, are read off one binomial transform; PROP1's,
-sum_k C(n,k) w^k F_k, follow an order-2 recurrence, and LEMMA5/7's direct
-sums D_{n+1} = (a+shift) D_n + (b+shift)^(n+1).  On the right, the records
-and PROP1 step their Fibonacci and Lucas factors and numerator powers, and
-each Lucas-weighted q/s sum of T6/T7 and LEMMA5/7 is one coordinate of
-P_n(x) = sum_c q(n,c) x^c at x = +-phi^e, with P_n stepped by the q
-recurrences (`_row_sums`), so no row is formed.  `_Column.sides(n)` takes
-the next dense value, or in any other column (such as a single large n)
-calls `reference(n)`; at n = N and at the column's middle n it takes both,
-and a disagreement in value, type or exception message raises
+readings, its --families group tag, the builder of its sides record and,
+for T2..T7, the builder of its closed-form record (`_T2T5Form`, `_T4Form`,
+`_T6T7Form`): the printed form at one p, held as data, whose `rhs` is the
+weighted dot product, the signs and one `_reduce`.  `audit_columns`
+evaluates the grid one (family, p) column at a time, and `REPORT_FORMATS`
+writes it one column per chunk.  Every column is one `_Column`, which asks
+the family for its sides record at p (`_OracleSides`, `_Prop1Sides`,
+`_LemmaSides`; REMARK1 has none).  A record gives (left side, {reading:
+right side, or the NotIntegral/NotDivisible it raised}) two ways:
+`cell(n, readings)` evaluates one cell (`fib_power_sum_oracle` and the
+closed-form record's `cell`, `_weighted_fib_sum`, or one
+`cross_power_expansion`), and `dense(readings, n0, N)` iterates over a
+dense column, whose n values are every n its family takes up to N: 0..N
+in every CLI audit, or one parity for T4.  Its sides are carried from one
+n to the next, holding O(1) values per n.  The left sides of T2..T7,
+sum_k C(n,k) sigma^k F_k^P, are read off one binomial transform.  PROP1's
+sum_k C(n,k) w^k F_k (roots 1 + w phi, 1 + w psi) and LEMMA5/7's direct
+sums (roots phi + shift, psi + shift) are stepped from their roots by one
+helper, `_from_roots`.  On the right, the records step their Fibonacci and
+Lucas factors and numerator powers, and each Lucas-weighted q/s sum of
+T6/T7 and LEMMA5/7 is one coordinate of P_n(x) = sum_c q(n,c) x^c at
+x = +-phi^e, with P_n stepped by the q recurrences (`_row_sums`), so no
+row is formed.  `_Column.sides(n)` takes the next dense value, or in any
+other column the record's `cell`; at n = N and at the column's middle n it
+takes both, and a disagreement in value, type or exception message raises
 FastPathMismatch, which the CLI reports on one stderr line with exit 1.
 """
 from __future__ import annotations
@@ -227,20 +226,14 @@ def _prop1_terms(p: int, variant: int):
     raise ValueError(f"variant must be one of 811, 812, 813, 814, got {variant}")
 
 
-def _prop1_rhs(n: int, a_pow: GoldenInt, a_alt: bool, b_pow: GoldenInt, b_alt: bool) -> GoldenInt:
-    """(eps_a a^n - eps_b b^n)/sqrt5 from a^n and b^n; raises NotDivisible
-    when the numerator is not a sqrt5 multiple."""
-    odd = n % 2
-    return div_sqrt5(
-        (-a_pow if a_alt and odd else a_pow) - (-b_pow if b_alt and odd else b_pow)
-    )
-
-
 def prop1_eval(n: int, p: int, variant: int) -> tuple[GoldenInt, GoldenInt]:
     """Weighted binomial sums of F_k against golden-power weights and their
-    closed forms (variants 811..814).  Both sides as exact ring elements."""
-    w, (a, a_alt), (b, b_alt) = _prop1_terms(p, variant)
-    return _weighted_fib_sum(n, w), _prop1_rhs(n, a**n, a_alt, b**n, b_alt)
+    closed forms (variants 811..814).  Both sides as exact ring elements;
+    raises NotDivisible when the closed form's numerator is no sqrt5 multiple."""
+    lhs, rhs = _Prop1Sides(*_prop1_terms(p, variant)).cell(n, _PRINTED)
+    if isinstance(rhs["printed"], Exception):
+        raise rhs["printed"]
+    return lhs, rhs["printed"]
 
 
 # ---------------------------------------------------------------------------
@@ -340,43 +333,43 @@ def _t2_t5_form(family: IdentityFamily, p: int) -> _T2T5Form:
 
 class _T4Form(NamedTuple):
     """T4_EVEN or T4_ODD at one p, m = 4p.  At n the printed form is
-      sum_{i<=m/2} (-1)^i C(m,i) X_{jn} B^n sqrt5^(n + sqrt5) / 5^(m/2),
+      sum_{i<=m/2} (-1)^i C(m,i) X_{jn} B^n sqrt5^(n + odd) / 5^(m/2),
     j = m/2 - i, with X = L for T4_EVEN and F for T4_ODD (whose
-    (1/sqrt5)^(4p-1) is sqrt5/5^(2p)).  The base B is F_{jn} as printed and
-    F_j in reading "base-subscript".  A dense column steps n by 2."""
+    (1/sqrt5)^(4p-1) is sqrt5/5^(2p)), so T4_ODD takes no L_{jn}.  The base
+    B is F_{jn} as printed and F_j in reading "base-subscript".  A dense
+    column steps n by 2."""
 
     js: range  # m/2 down to 0
     signed: list  # (-1)^i C(m, i)
-    factor: Callable[[int], int]  # X: lucas for T4_EVEN, fib for T4_ODD
-    sqrt5: int  # the power of sqrt5 is n + sqrt5: 0 for T4_EVEN, 1 for T4_ODD
+    odd: int  # 1 for T4_ODD: X = F and one more sqrt5; 0 for T4_EVEN: X = L
     five_exp: int  # m/2
 
-    def rhs(self, n: int, readings, x_jn, f_jn, f_j_n) -> dict:
+    def rhs(self, n: int, readings, f_jn, f_j_n, l_jn=None) -> dict:
         out = {}
         for r in readings:
             bases = f_j_n if r == "base-subscript" else [f**n for f in f_jn]
-            total = _dot(self.signed, map(mul, x_jn, bases))
-            out[r] = _caught(_reduce, total, n + self.sqrt5, self.five_exp)
+            total = _dot(self.signed, map(mul, l_jn or f_jn, bases))
+            out[r] = _caught(_reduce, total, n + self.odd, self.five_exp)
         return out
 
     def cell(self, n: int, readings) -> dict:
         js = self.js
-        x_jn, f_jn = [self.factor(j * n) for j in js], [fib(j * n) for j in js]
-        return self.rhs(n, readings, x_jn, f_jn, [fib(j) ** n for j in js])
+        l_jn = None if self.odd else [lucas(j * n) for j in js]
+        return self.rhs(n, readings, [fib(j * n) for j in js], [fib(j) ** n for j in js], l_jn)
 
     def dense(self, readings, n0: int):
         f_j = [fib(j) for j in self.js]
         f_j_n = _geometric([f * f for f in f_j], [f**n0 for f in f_j])
-        x_jn, f_jn = (_multiples(x, self.js, n0, 2) for x in (self.factor, fib))
-        return map(self.rhs, count(n0, 2), repeat(readings), x_jn, f_jn, f_j_n)
+        xs = (fib,) if self.odd else (fib, lucas)
+        f_jn, *l_jn = (_multiples(x, self.js, n0, 2) for x in xs)
+        return map(self.rhs, count(n0, 2), repeat(readings), f_jn, f_j_n, *l_jn)
 
 
 def _t4_form(family: IdentityFamily, p: int) -> _T4Form:
     m = FAMILY_FACTS[family].power(p)
-    even = family is IdentityFamily.T4_EVEN
     js = range(m // 2, -1, -1)
     signed = [(-1) ** i * binomial(m, i) for i in range(len(js))]
-    return _T4Form(js, signed, lucas if even else fib, 0 if even else 1, m // 2)
+    return _T4Form(js, signed, int(family is IdentityFamily.T4_ODD), m // 2)
 
 
 class _T6T7Form(NamedTuple):
@@ -728,34 +721,108 @@ def _row_sums(keys):
         }
 
 
-def _carried_lemma(shift: int):
-    """Both sides of LEMMA5 (shift +1) or LEMMA7 (shift -1) at a = phi,
-    b = -1/a = psi, for n = 0, 1, 2, ....  The left side
-    D_n = sum_{j=0..n} (a+shift)^(n-j) (b+shift)^j steps by
-    D_{n+1} = (a+shift) D_n + (b+shift)^(n+1).  The right side
-    row[0] + sum_{c>=1} row[c] (a^c + b^c) has a^c + b^c = L_c, so it is the
-    e = 1 sum of `_row_sums`, made the ring element that the per-cell sum
-    gives.  At n = 0 each side is the int 1, as in the per-cell sums."""
-    key = ("Q" if shift == 1 else "S", 1)
-    sums = _row_sums([key])
-    yield 1, {"printed": next(sums)[key]}  # the one term 1*1; q(0,0) = s(0,0) = 1
-    a_shift, b_shift = PHI + shift, PSI + shift
-    left, b_pow = 1, 1
-    for row_sums in sums:
-        b_pow = b_pow * b_shift
-        left = a_shift * left + b_pow
-        yield left, {"printed": GoldenInt(2 * row_sums[key], 0)}
+def _from_roots(r1, r2, y0, y1):
+    """Yield y_0, y_1, y_2, ... of the sequence whose characteristic roots
+    are r1 and r2, y_{n+2} = (r1+r2) y_{n+1} - r1 r2 y_n, from the given
+    first two terms.  The roots and terms are ints or ring elements."""
+    return chain.from_iterable(_recurrent([y0], [y1], [r1 + r2], [r1 * r2]))
+
+
+class _OracleSides(NamedTuple):
+    """T2..T7 at one p: the left side sum_k sigma^k C(n,k) F_k^P and the
+    right sides of the family's closed-form record.  A cell takes the
+    oracle and the record's `cell`; a dense column reads its left sides off
+    one transform of length N+1, every step-th value from n0, and takes the
+    record's `dense`."""
+
+    power: int  # P
+    sign: str  # sigma
+    step: int  # the n step of a dense column: 2 for T4, else 1
+    form: NamedTuple  # the closed-form record
+
+    def cell(self, n: int, readings) -> tuple:
+        return fib_power_sum_oracle(n, self.power, self.sign), self.form.cell(n, readings)
+
+    def dense(self, readings, n0: int, n_max: int):
+        sigma = _sign_value(self.sign)
+        terms = []
+        s, fk, fk1 = 1, 0, 1
+        for _ in range(n_max + 1):
+            terms.append(s * fk**self.power)
+            s, fk, fk1 = s * sigma, fk1, fk + fk1
+        values = binomial_transform(Seq(tuple(terms))).values[n0::self.step]
+        return zip(values, self.form.dense(readings, n0))
+
+
+def _oracle_sides(family: IdentityFamily, p: int) -> _OracleSides:
+    facts = FAMILY_FACTS[family]
+    return _OracleSides(facts.power(p), facts.sign, facts.n_mod[1], facts.form(family, p))
+
+
+class _Prop1Sides(NamedTuple):
+    """PROP1 at one p: the left side y_n = sum_k C(n,k) w^k F_k and the
+    closed form (eps_a a^n - eps_b b^n)/sqrt5.  A cell takes
+    `_weighted_fib_sum` and a**n, b**n.  As w^k F_k = ((w phi)^k -
+    (w psi)^k)/sqrt5, y_n has the roots 1 + w phi and 1 + w psi, so a dense
+    column steps it from y_0 = 0, y_1 = w, and carries a^n and b^n."""
+
+    w: GoldenInt
+    a: tuple  # (a, whether eps_a alternates)
+    b: tuple  # (b, whether eps_b alternates)
+
+    def rhs(self, n: int, readings, a_n, b_n) -> dict:
+        """From a^n and b^n; NotDivisible when the numerator is no sqrt5 multiple."""
+        odd = n % 2
+        (_, a_alt), (_, b_alt) = self.a, self.b
+        numerator = (-a_n if a_alt and odd else a_n) - (-b_n if b_alt and odd else b_n)
+        return dict.fromkeys(readings, _caught(div_sqrt5, numerator))
+
+    def cell(self, n: int, readings) -> tuple:
+        return _weighted_fib_sum(n, self.w), self.rhs(n, readings, self.a[0] ** n, self.b[0] ** n)
+
+    def dense(self, readings, n0: int, n_max: int):
+        w = self.w
+        lefts = _from_roots(1 + w * PHI, 1 + w * PSI, ZERO, w)
+        powers = _geometric([self.a[0], self.b[0]], [ONE, ONE])
+        return zip(lefts, (self.rhs(n, readings, a_n, b_n) for n, (a_n, b_n) in enumerate(powers)))
+
+
+def _prop1_sides(family: IdentityFamily, p: int) -> _Prop1Sides:
+    return _Prop1Sides(*_prop1_terms(p, int(family.value.split("_")[1])))
+
+
+class _LemmaSides(NamedTuple):
+    """LEMMA5 (shift +1) or LEMMA7 (shift -1) at a = phi, b = -1/a = psi.
+    A cell takes both sides from one `cross_power_expansion`.  A dense
+    column steps D_n = sum_{j=0..n} (a+shift)^(n-j) (b+shift)^j from its
+    roots a+shift, b+shift and D_0 = 1, D_1 = their sum; the right side,
+    row[0] + sum_{c>=1} row[c] L_c as a^c + b^c = L_c, is the e = 1 sum of
+    `_row_sums` made a ring element.  Both sides at n = 0 are the int 1."""
+
+    shift: int
+
+    def cell(self, n: int, readings) -> tuple:
+        direct, expanded = cross_power_expansion(n, PHI, self.shift)
+        return direct, dict.fromkeys(readings, expanded)
+
+    def dense(self, readings, n0: int, n_max: int):
+        roots = PHI + self.shift, PSI + self.shift
+        key = ("Q" if self.shift == 1 else "S", 1)
+        sums = _row_sums([key])
+        rights = chain([next(sums)[key]], (GoldenInt(2 * s[key], 0) for s in sums))
+        lefts = _from_roots(*roots, 1, sum(roots))
+        return zip(lefts, map(dict.fromkeys, repeat(readings), rights))
 
 
 class _Column:
     """The cells of one (family, p) column of an audit, in ascending n.
 
-    A subclass gives the sides at n, (left side, {reading: right side}),
-    two ways: `reference(n)` per cell, and `dense_sides()` over the n
-    values of a dense column (0..N, or for T4 every n of one parity up to
-    N).  `build` sets what depends on (family, p) alone.  The dense
-    iterator must not hold its column: a generator method would keep
-    `self` in its frame, a cycle that only the cyclic GC frees.
+    The first cell asks `FAMILY_FACTS[family].sides(family, p)` for the
+    column's record, which gives the sides, (left side, {reading: right
+    side}), two ways: `cell(n, readings)` per cell, and `dense(readings,
+    n0, N)` over the n values of a dense column (0..N, or for T4 every n
+    of one parity up to N).  The dense iterator holds the record, never
+    the column, so no cycle keeps a column alive.
     """
 
     def __init__(self, family: IdentityFamily, p: int | None, n_values: tuple):
@@ -765,27 +832,32 @@ class _Column:
         r, m = FAMILY_FACTS[family].n_mod
         self.dense = n_values == tuple(range(r, n_values[-1] + 1, m))
         self.sample = {n_values[-1], n_values[(len(n_values) - 1) // 2]} if self.dense else ()
+        self.readings = FAMILY_FACTS[family].readings
+        self.record = None  # the family's sides record at p
         self.fast = None  # dense_sides() of a dense column
         self.memo = None  # (n, left side, its rendering, right sides)
+
+    def dense_sides(self):
+        return self.record.dense(self.readings, self.n_values[0], self.n_values[-1])
 
     def sides(self, n: int) -> tuple:
         """(left side, its rendering, {reading: right side, or the
         NotIntegral/NotDivisible it raised}) at n, computed once per n.  The
-        first call builds the column, so that work is part of its first
-        cell.  A dense column takes `dense_sides` and checks it against
-        `reference` at N and at its middle n; any other takes `reference`."""
+        first call builds the record, so that work is part of its first
+        cell.  A dense column takes `dense_sides` and checks it against the
+        record's `cell` at N and at its middle n; any other takes `cell`."""
         if self.memo is None:
-            self.build()
+            self.record = FAMILY_FACTS[self.family].sides(self.family, self.p)
             self.fast = self.dense_sides() if self.dense else None
         elif self.memo[0] == n:
             return self.memo[1:]
         if self.fast is None:
-            lhs, forms = self.reference(n)
+            lhs, forms = self.record.cell(n, self.readings)
         else:
             lhs, forms = next(self.fast)
             if n in self.sample:
                 sides = ("left side", lhs), ("closed form", forms)
-                for (what, value), ref in zip(sides, self.reference(n)):
+                for (what, value), ref in zip(sides, self.record.cell(n, self.readings)):
                     if _outcome(value) != _outcome(ref):
                         raise FastPathMismatch(
                             f"{self.family.value} p={self.p}: the column's {what} "
@@ -793,77 +865,6 @@ class _Column:
                         )
         self.memo = n, lhs, render_exact(lhs), forms
         return self.memo[1:]
-
-
-class _OracleColumn(_Column):
-    """T2..T7: the left side sum_k sigma^k C(n,k) F_k^P, and the closed forms
-    of the family's record, which `build` makes once per column.  A dense
-    column reads its left sides off one transform of length N+1 and takes
-    the record's `dense`; a cell takes the oracle and the record's `cell`."""
-
-    def build(self) -> None:
-        facts = FAMILY_FACTS[self.family]
-        self.power, self.sign, self.readings = facts.power(self.p), facts.sign, facts.readings
-        self.form = facts.form(self.family, self.p)
-
-    def reference(self, n: int) -> tuple:
-        return fib_power_sum_oracle(n, self.power, self.sign), self.form.cell(n, self.readings)
-
-    def dense_sides(self):
-        sigma = _sign_value(self.sign)
-        terms = []
-        s, fk, fk1 = 1, 0, 1
-        for _ in range(self.n_values[-1] + 1):
-            terms.append(s * fk**self.power)
-            s, fk, fk1 = s * sigma, fk1, fk + fk1
-        r, m = FAMILY_FACTS[self.family].n_mod
-        values = binomial_transform(Seq(tuple(terms))).values[r::m]
-        return zip(values, self.form.dense(self.readings, r))
-
-
-class _Prop1Column(_Column):
-    """PROP1: the left side sum_k C(n,k) w^k F_k and the closed form
-    (eps_a a^n - eps_b b^n)/sqrt5.  A dense column steps the left side by
-    its recurrence and carries a^n and b^n; a cell takes
-    `_weighted_fib_sum` and a**n, b**n."""
-
-    def build(self) -> None:
-        variant = int(self.family.value.split("_")[1])
-        self.w, self.a, self.b = _prop1_terms(self.p, variant)
-
-    def reference(self, n: int) -> tuple:
-        (a, a_alt), (b, b_alt) = self.a, self.b
-        rhs = _caught(_prop1_rhs, n, a**n, a_alt, b**n, b_alt)
-        return _weighted_fib_sum(n, self.w), {"printed": rhs}
-
-    def dense_sides(self):
-        # w^k F_k = ((w phi)^k - (w psi)^k)/sqrt5, so y_n = sum_k C(n,k) w^k F_k
-        # is ((1 + w phi)^n - (1 + w psi)^n)/sqrt5: the roots sum to 2 + w and
-        # multiply to 1 + w - w^2, and y_0 = 0, y_1 = w.
-        w = self.w
-        lefts = (y for y, in _recurrent([ZERO], [w], [2 + w], [1 + w - w * w]))
-        (a, a_alt), (b, b_alt) = self.a, self.b
-        forms = (
-            {"printed": _caught(_prop1_rhs, n, a_n, a_alt, b_n, b_alt)}
-            for n, (a_n, b_n) in enumerate(_geometric([a, b], [ONE, ONE]))
-        )
-        return zip(lefts, forms)
-
-
-class _LemmaColumn(_Column):
-    """LEMMA5/LEMMA7 at a = phi.  A dense column takes both sides from
-    `_carried_lemma`; a cell takes `cross_power_expansion`, which builds
-    its own power lists and row."""
-
-    def build(self) -> None:
-        self.shift = 1 if self.family is IdentityFamily.LEMMA5 else -1
-
-    def reference(self, n: int) -> tuple:
-        direct, expanded = cross_power_expansion(n, PHI, self.shift)
-        return direct, {"printed": expanded}
-
-    def dense_sides(self):
-        return _carried_lemma(self.shift)
 
 
 class FamilyFacts(NamedTuple):
@@ -876,7 +877,7 @@ class FamilyFacts(NamedTuple):
     sign: str | None = None  # T2..T7: the oracle's sign
     form: Callable | None = None  # T2..T7: (family, p) -> its closed-form record
     group: str | None = None  # the --families tag that names it with its kin
-    column: type[_Column] | None = _OracleColumn  # None: REMARK1, whose cells share nothing
+    sides: Callable | None = _oracle_sides  # (family, p) -> its sides record; None: REMARK1
 
     def ps(self, p_values: list) -> list:
         return [None] if self.p_min is None else [p for p in p_values if p >= self.p_min]
@@ -890,8 +891,8 @@ class FamilyFacts(NamedTuple):
 # The readings of most families, and of T4, T6 and T7.
 _PRINTED, _T4 = ("printed",), ("printed", "base-subscript")
 _T6, _T7 = ("printed", "t-to-p"), ("printed", "t-to-p-1", "j-to-n-1")
-_REMARK1 = FamilyFacts(_PRINTED, 1, None, group="REMARK1", column=None)
-_PROP1 = FamilyFacts(_PRINTED, 0, (0, 1), group="PROP1", column=_Prop1Column)
+_REMARK1 = FamilyFacts(_PRINTED, 1, None, group="REMARK1", sides=None)
+_PROP1 = FamilyFacts(_PRINTED, 0, (0, 1), group="PROP1", sides=_prop1_sides)
 
 #: The facts of every family, in enum order.
 FAMILY_FACTS: dict[IdentityFamily, FamilyFacts] = {
@@ -904,15 +905,14 @@ FAMILY_FACTS: dict[IdentityFamily, FamilyFacts] = {
     IdentityFamily.T5: FamilyFacts(_PRINTED, 0, (0, 1), lambda p: 4 * p + 2, "-", _t2_t5_form),
     IdentityFamily.T6: FamilyFacts(_T6, 0, (0, 1), lambda p: 4 * p + 1, "+", _t6_t7_form),
     IdentityFamily.T7: FamilyFacts(_T7, 0, (0, 1), lambda p: 4 * p + 3, "+", _t6_t7_form),
-    IdentityFamily.LEMMA5: FamilyFacts(_PRINTED, None, (0, 1), column=_LemmaColumn),
-    IdentityFamily.LEMMA7: FamilyFacts(_PRINTED, None, (0, 1), column=_LemmaColumn),
+    IdentityFamily.LEMMA5: FamilyFacts(_PRINTED, None, (0, 1), sides=lambda f, p: _LemmaSides(1)),
+    IdentityFamily.LEMMA7: FamilyFacts(_PRINTED, None, (0, 1), sides=lambda f, p: _LemmaSides(-1)),
 }
 
 
 def _column(family: IdentityFamily, p: int | None, n_values: tuple) -> _Column | None:
     """The unbuilt state of a (family, p) column, or None for REMARK1."""
-    column = FAMILY_FACTS[family].column
-    return None if column is None else column(family, p, n_values)
+    return None if FAMILY_FACTS[family].sides is None else _Column(family, p, n_values)
 
 
 #: The FAIL note of a closed form that raised, by exception type.

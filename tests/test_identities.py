@@ -211,9 +211,14 @@ def test_t7_equivalent_reading():
             )
 
 
-def test_unknown_reading_rejected():
-    with pytest.raises(ValueError):
-        closed_form_rhs(F.T2, 1, 1, "bogus")
+@pytest.mark.parametrize(
+    "family, reading",
+    [(F.T2, "bogus"), (F.PROP1_811, "printed"), (F.LEMMA5, "printed"), (F.REMARK1_1, "printed")],
+)
+def test_unknown_reading_rejected(family, reading):
+    # PROP1, LEMMA and REMARK1 have no closed-form record.
+    with pytest.raises(ValueError, match=f"unknown reading .* for {family.value}$"):
+        closed_form_rhs(family, 1, 1, reading)
 
 
 @pytest.mark.parametrize(
@@ -424,29 +429,37 @@ def test_t4_even_column_matches_per_cell_evaluation():
         assert (e.lhs, e.rhs) == (render_exact(lhs), rhs), (e.n, e.p, e.reading)
 
 
+def test_t4_odd_takes_each_f_jn_once(monkeypatch):
+    """T4_ODD's factor X is F itself, so F_{jn} is evaluated once per cell
+    and carried once per dense column; T4_EVEN carries F_{jn} and L_{jn}."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(identities, "fib", lambda k: calls.append(k) or fib(k))
+        closed_form_rhs(F.T4_ODD, 9, 2)
+    assert [calls.count(k) for k in (9, 18, 27, 36)] == [1, 1, 1, 1]
+    real = identities._multiples
+    monkeypatch.setattr(identities, "_multiples", lambda x, *a: calls.append(x) or real(x, *a))
+    for family, carried in ((F.T4_ODD, [fib]), (F.T4_EVEN, [fib, lucas])):
+        calls.clear()
+        audit([family], range(10), [2])
+        assert calls == carried, family
+
+
 _FAST_PATHS = [
     (F.T2, 1), (F.T7, 1), (F.PROP1_812, 2),
     (F.T3, 1), (F.T4_EVEN, 1), (F.T4_ODD, 1), (F.T5, 1), (F.T6, 1), (F.LEMMA5, 1), (F.LEMMA7, 1),
 ]
 
 
-def _column_class(family):
-    if family.value.startswith("PROP1_"):
-        return identities._Prop1Column
-    if family in (F.LEMMA5, F.LEMMA7):
-        return identities._LemmaColumn
-    return identities._OracleColumn
-
-
-def _patch_dense_sides(monkeypatch, column_class, change):
-    """Pass each (n, left side, right sides) of the class's dense_sides
+def _patch_dense_sides(monkeypatch, change):
+    """Pass each (n, left side, right sides) of a column's dense_sides
     through change(n, lhs, forms), which returns the new (lhs, forms)."""
-    real = column_class.dense_sides
+    real = identities._Column.dense_sides
 
     def patched(self):
         return (change(n, *sides) for n, sides in zip(self.n_values, real(self)))
 
-    monkeypatch.setattr(column_class, "dense_sides", patched)
+    monkeypatch.setattr(identities._Column, "dense_sides", patched)
 
 
 @pytest.mark.parametrize("family, bump", _FAST_PATHS)
@@ -469,7 +482,7 @@ def test_fast_path_mismatch_is_raised(monkeypatch, family, bump, at):
 
     for side, change in (("left side", bump_left), ("closed form", bump_forms)):
         with monkeypatch.context() as m:
-            _patch_dense_sides(m, _column_class(family), change)
+            _patch_dense_sides(m, change)
             with pytest.raises(FastPathMismatch, match=f"{side} disagrees .* at n={n}$"):
                 audit([family], range(9), range(1, 2))
             assert audit([family], [2, 5, 8], [1]) == sparse
@@ -485,13 +498,11 @@ def test_fast_path_check_compares_notintegral_message_and_type(monkeypatch):
             }
 
         with monkeypatch.context() as m:
-            _patch_dense_sides(m, identities._OracleColumn, reraised)
+            _patch_dense_sides(m, reraised)
             with pytest.raises(FastPathMismatch, match="closed form .* n=5$"):
                 audit([F.T3], range(6), [1])
     # The ring element 1 equals the int 1, but LEMMA's n = 0 is an int.
-    _patch_dense_sides(
-        monkeypatch, identities._LemmaColumn, lambda n, lhs, forms: (GoldenInt(2, 0), forms)
-    )
+    _patch_dense_sides(monkeypatch, lambda n, lhs, forms: (GoldenInt(2, 0), forms))
     with pytest.raises(FastPathMismatch, match="left side .* n=0$"):
         audit([F.LEMMA5], range(1), [0])
 
@@ -648,15 +659,23 @@ def test_faulty_row_sums_hit_the_sampled_check(monkeypatch, family, p):
         audit([family], range(13), [p])
 
 
-def test_faulty_prop1_step_hits_the_sampled_check(monkeypatch):
-    real = identities._recurrent
+@pytest.mark.parametrize("family, p", [(F.PROP1_811, 1), (F.LEMMA5, 0), (F.LEMMA7, 0)])
+@pytest.mark.parametrize("fault", ["step", "root"])
+def test_faulty_prop1_step_hits_the_sampled_check(monkeypatch, family, p, fault):
+    """PROP1's and LEMMA5/7's dense left sides are stepped from their roots
+    by one helper: a faulty step, or one root off by one, is caught."""
+    if fault == "step":
+        real = identities._recurrent
 
-    def off_by_one(first, second, mult, sign):
-        return real(first, second, [m + 1 for m in mult], sign)
+        def off_by_one(first, second, mult, sign):
+            return real(first, second, [m + 1 for m in mult], sign)
 
-    monkeypatch.setattr(identities, "_recurrent", off_by_one)
+        monkeypatch.setattr(identities, "_recurrent", off_by_one)
+    else:
+        real = identities._from_roots
+        monkeypatch.setattr(identities, "_from_roots", lambda r1, r2, *ys: real(r1 + 1, r2, *ys))
     with pytest.raises(FastPathMismatch, match="left side disagrees .* at n=6$"):
-        audit([F.PROP1_811], range(13), [1])
+        audit([family], range(13), [p])
 
 
 def _reduce_reference(total, sqrt5_exp, five_exp):
