@@ -337,7 +337,9 @@ def _tables_report(output_format: str, q_rows) -> Iterator[str]:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     # coeff_rows checks the first rows when called, so a recurrence fault
-    # is raised before --out is opened or any byte is written.
+    # there is raised before --out is opened or any byte is written.  Rows
+    # N and N//2 past them are checked as they are made: a fault found
+    # there ends the report after the rows before it, with exit 1.
     q_rows = coeff_rows("Q", args.n_max)
     return _write_report(args.out, _tables_report(args.format, q_rows))
 

@@ -13,27 +13,28 @@ for T2..T7, the builder of its closed-form record (`_T2T5Form`, `_T4Form`,
 `_T6T7Form`): the printed form at one p, held as data, whose `rhs` is the
 weighted dot product, the signs and one `_reduce`.  `audit_columns`
 evaluates the grid one (family, p) column at a time, and `REPORT_FORMATS`
-writes it one column per chunk.  Every column is one `_Column`, which asks
-the family for its sides record at p (`_OracleSides`, `_Prop1Sides`,
-`_LemmaSides`; REMARK1 has none).  A record gives (left side, {reading:
-right side, or the NotIntegral/NotDivisible it raised}) two ways:
-`cell(n, readings)` evaluates one cell (`fib_power_sum_oracle` and the
-closed-form record's `cell`, `_weighted_fib_sum`, or one
-`cross_power_expansion`), and `dense(readings, n0, N)` iterates over a
-dense column, whose n values are every n its family takes up to N: 0..N
-in every CLI audit, or one parity for T4.  Its sides are carried from one
-n to the next, holding O(1) values per n.  The left sides of T2..T7,
-sum_k C(n,k) sigma^k F_k^P, are read off one binomial transform.  PROP1's
-sum_k C(n,k) w^k F_k (roots 1 + w phi, 1 + w psi) and LEMMA5/7's direct
-sums (roots phi + shift, psi + shift) are stepped from their roots by one
-helper, `_from_roots`.  On the right, the records step their Fibonacci and
-Lucas factors and numerator powers, and each Lucas-weighted q/s sum of
-T6/T7 and LEMMA5/7 is one coordinate of P_n(x) = sum_c q(n,c) x^c at
-x = +-phi^e, with P_n stepped by the q recurrences (`_row_sums`), so no
-row is formed.  `_Column.sides(n)` takes the next dense value, or in any
-other column the record's `cell`; at n = N and at the column's middle n it
-takes both, and a disagreement in value, type or exception message raises
-FastPathMismatch, which the CLI reports on one stderr line with exit 1.
+writes it one column per chunk.  Every column is one generator,
+`_column_sides`, which each of its cells advances once; the first builds
+the family's sides record at p (`_Remark1Sides`, `_OracleSides`,
+`_Prop1Sides`, `_LemmaSides`).  A record gives (left side, {reading: right
+side, or the NotIntegral/NotDivisible it raised}) by `cell(n, readings)`,
+one cell (`remark1_relation`, `fib_power_sum_oracle` and the closed-form
+record's `cell`, `_weighted_fib_sum`, or one `cross_power_expansion`),
+and, but for REMARK1's, by `dense(readings, N)` over a dense column: every
+n its family takes up to N, 0..N in every CLI audit or one parity for T4.
+Its sides are carried from one n to the next, holding O(1) values per n.
+The left sides of T2..T7, sum_k C(n,k) sigma^k F_k^P, are read off one
+binomial transform.  PROP1's sum_k C(n,k) w^k F_k (roots 1 + w phi, 1 + w
+psi) and LEMMA5/7's direct sums (roots phi + shift, psi + shift) are
+stepped from their roots by one helper, `_from_roots`.  On the right, the
+records step their Fibonacci and Lucas factors and numerator powers, and
+each Lucas-weighted q/s sum of T6/T7 and LEMMA5/7 is one coordinate of
+P_n(x) = sum_c q(n,c) x^c at x = +-phi^e, with P_n stepped by the q
+recurrences (`_row_sums`), so no row is formed.  The generator takes the
+next dense value, or in any other column the record's `cell`; at n = N and
+at the column's middle n it takes both, and a disagreement in value, type
+or exception message raises FastPathMismatch, which the CLI reports on one
+stderr line with exit 1.
 """
 from __future__ import annotations
 
@@ -312,11 +313,11 @@ class _T2T5Form(NamedTuple):
         b_j_n = [self.base(j) ** n for j in self.js]
         return self.rhs(n, readings, b_j_n, [lucas(j * n) for j in self.js])
 
-    def dense(self, readings, n0: int):
+    def dense(self, readings):
         bases = [self.base(j) for j in self.js]
-        b_j_n = _geometric(bases, [b**n0 for b in bases])
-        l_jn = _multiples(lucas, self.js, n0, 1)
-        return map(self.rhs, count(n0), repeat(readings), b_j_n, l_jn)
+        b_j_n = _geometric(bases, [1] * len(bases))
+        l_jn = _multiples(lucas, self.js, 0, 1)
+        return map(self.rhs, count(), repeat(readings), b_j_n, l_jn)
 
 
 def _t2_t5_form(family: IdentityFamily, p: int) -> _T2T5Form:
@@ -337,7 +338,7 @@ class _T4Form(NamedTuple):
     j = m/2 - i, with X = L for T4_EVEN and F for T4_ODD (whose
     (1/sqrt5)^(4p-1) is sqrt5/5^(2p)), so T4_ODD takes no L_{jn}.  The base
     B is F_{jn} as printed and F_j in reading "base-subscript".  A dense
-    column steps n by 2."""
+    column starts at n = odd and steps n by 2."""
 
     js: range  # m/2 down to 0
     signed: list  # (-1)^i C(m, i)
@@ -357,12 +358,12 @@ class _T4Form(NamedTuple):
         l_jn = None if self.odd else [lucas(j * n) for j in js]
         return self.rhs(n, readings, [fib(j * n) for j in js], [fib(j) ** n for j in js], l_jn)
 
-    def dense(self, readings, n0: int):
-        f_j = [fib(j) for j in self.js]
-        f_j_n = _geometric([f * f for f in f_j], [f**n0 for f in f_j])
-        xs = (fib,) if self.odd else (fib, lucas)
-        f_jn, *l_jn = (_multiples(x, self.js, n0, 2) for x in xs)
-        return map(self.rhs, count(n0, 2), repeat(readings), f_jn, f_j_n, *l_jn)
+    def dense(self, readings):
+        odd, f_j = self.odd, [fib(j) for j in self.js]
+        f_j_n = _geometric([f * f for f in f_j], [f**odd for f in f_j])
+        xs = (fib,) if odd else (fib, lucas)
+        f_jn, *l_jn = (_multiples(x, self.js, odd, 2) for x in xs)
+        return map(self.rhs, count(odd, 2), repeat(readings), f_jn, f_j_n, *l_jn)
 
 
 def _t4_form(family: IdentityFamily, p: int) -> _T4Form:
@@ -405,9 +406,9 @@ class _T6T7Form(NamedTuple):
         sums = {(k, e): _lucas_weighted_sum(rows[k], e, lucas(e)) for k, e in (*self.q, *self.s)}
         return self.rhs(n, readings, sums, fib(self.d * n))
 
-    def dense(self, readings, n0: int):
-        """From n0 = 0, as T6/T7 take every n: the sums of rows n-1 read from
-        `_row_sums` (row -1 is empty) and F_{dn} carried."""
+    def dense(self, readings):
+        """From n = 0: the sums of rows n-1 read from `_row_sums` (row -1 is
+        empty) and F_{dn} carried."""
         keys = [*self.q, *self.s]
         sums = chain([dict.fromkeys(keys, 0)], _row_sums(keys))
         f_dn = (f for f, in _multiples(fib, [self.d], 0, 1))
@@ -732,31 +733,31 @@ class _OracleSides(NamedTuple):
     """T2..T7 at one p: the left side sum_k sigma^k C(n,k) F_k^P and the
     right sides of the family's closed-form record.  A cell takes the
     oracle and the record's `cell`; a dense column reads its left sides off
-    one transform of length N+1, every step-th value from n0, and takes the
-    record's `dense`."""
+    one transform of length N+1, at the family's n, and takes the record's
+    `dense`."""
 
     power: int  # P
     sign: str  # sigma
-    step: int  # the n step of a dense column: 2 for T4, else 1
+    n_mod: tuple  # (r, m): the family's n are r, r+m, r+2m, ...
     form: NamedTuple  # the closed-form record
 
     def cell(self, n: int, readings) -> tuple:
         return fib_power_sum_oracle(n, self.power, self.sign), self.form.cell(n, readings)
 
-    def dense(self, readings, n0: int, n_max: int):
+    def dense(self, readings, n_max: int):
         sigma = _sign_value(self.sign)
         terms = []
         s, fk, fk1 = 1, 0, 1
         for _ in range(n_max + 1):
             terms.append(s * fk**self.power)
             s, fk, fk1 = s * sigma, fk1, fk + fk1
-        values = binomial_transform(Seq(tuple(terms))).values[n0::self.step]
-        return zip(values, self.form.dense(readings, n0))
+        r, m = self.n_mod
+        return zip(binomial_transform(Seq(tuple(terms))).values[r::m], self.form.dense(readings))
 
 
 def _oracle_sides(family: IdentityFamily, p: int) -> _OracleSides:
     facts = FAMILY_FACTS[family]
-    return _OracleSides(facts.power(p), facts.sign, facts.n_mod[1], facts.form(family, p))
+    return _OracleSides(facts.power(p), facts.sign, facts.n_mod, facts.form(family, p))
 
 
 class _Prop1Sides(NamedTuple):
@@ -780,7 +781,7 @@ class _Prop1Sides(NamedTuple):
     def cell(self, n: int, readings) -> tuple:
         return _weighted_fib_sum(n, self.w), self.rhs(n, readings, self.a[0] ** n, self.b[0] ** n)
 
-    def dense(self, readings, n0: int, n_max: int):
+    def dense(self, readings, n_max: int):
         w = self.w
         lefts = _from_roots(1 + w * PHI, 1 + w * PSI, ZERO, w)
         powers = _geometric([self.a[0], self.b[0]], [ONE, ONE])
@@ -805,7 +806,7 @@ class _LemmaSides(NamedTuple):
         direct, expanded = cross_power_expansion(n, PHI, self.shift)
         return direct, dict.fromkeys(readings, expanded)
 
-    def dense(self, readings, n0: int, n_max: int):
+    def dense(self, readings, n_max: int):
         roots = PHI + self.shift, PSI + self.shift
         key = ("Q" if self.shift == 1 else "S", 1)
         sums = _row_sums([key])
@@ -814,57 +815,19 @@ class _LemmaSides(NamedTuple):
         return zip(lefts, map(dict.fromkeys, repeat(readings), rights))
 
 
-class _Column:
-    """The cells of one (family, p) column of an audit, in ascending n.
+class _Remark1Sides(NamedTuple):
+    """REMARK1 relation `index` at p: one cell, which takes no n."""
 
-    The first cell asks `FAMILY_FACTS[family].sides(family, p)` for the
-    column's record, which gives the sides, (left side, {reading: right
-    side}), two ways: `cell(n, readings)` per cell, and `dense(readings,
-    n0, N)` over the n values of a dense column (0..N, or for T4 every n
-    of one parity up to N).  The dense iterator holds the record, never
-    the column, so no cycle keeps a column alive.
-    """
+    p: int
+    index: int
 
-    def __init__(self, family: IdentityFamily, p: int | None, n_values: tuple):
-        self.family = family
-        self.p = p
-        self.n_values = n_values
-        r, m = FAMILY_FACTS[family].n_mod
-        self.dense = n_values == tuple(range(r, n_values[-1] + 1, m))
-        self.sample = {n_values[-1], n_values[(len(n_values) - 1) // 2]} if self.dense else ()
-        self.readings = FAMILY_FACTS[family].readings
-        self.record = None  # the family's sides record at p
-        self.fast = None  # dense_sides() of a dense column
-        self.memo = None  # (n, left side, its rendering, right sides)
+    def cell(self, n, readings) -> tuple:
+        lhs, rhs = remark1_relation(self.p, self.index)
+        return lhs, dict.fromkeys(readings, rhs)
 
-    def dense_sides(self):
-        return self.record.dense(self.readings, self.n_values[0], self.n_values[-1])
 
-    def sides(self, n: int) -> tuple:
-        """(left side, its rendering, {reading: right side, or the
-        NotIntegral/NotDivisible it raised}) at n, computed once per n.  The
-        first call builds the record, so that work is part of its first
-        cell.  A dense column takes `dense_sides` and checks it against the
-        record's `cell` at N and at its middle n; any other takes `cell`."""
-        if self.memo is None:
-            self.record = FAMILY_FACTS[self.family].sides(self.family, self.p)
-            self.fast = self.dense_sides() if self.dense else None
-        elif self.memo[0] == n:
-            return self.memo[1:]
-        if self.fast is None:
-            lhs, forms = self.record.cell(n, self.readings)
-        else:
-            lhs, forms = next(self.fast)
-            if n in self.sample:
-                sides = ("left side", lhs), ("closed form", forms)
-                for (what, value), ref in zip(sides, self.record.cell(n, self.readings)):
-                    if _outcome(value) != _outcome(ref):
-                        raise FastPathMismatch(
-                            f"{self.family.value} p={self.p}: the column's {what} "
-                            f"disagrees with the per-cell evaluation at n={n}"
-                        )
-        self.memo = n, lhs, render_exact(lhs), forms
-        return self.memo[1:]
+def _remark1_sides(family: IdentityFamily, p: int) -> _Remark1Sides:
+    return _Remark1Sides(p, int(family.value.split("_")[1]))
 
 
 class FamilyFacts(NamedTuple):
@@ -877,7 +840,7 @@ class FamilyFacts(NamedTuple):
     sign: str | None = None  # T2..T7: the oracle's sign
     form: Callable | None = None  # T2..T7: (family, p) -> its closed-form record
     group: str | None = None  # the --families tag that names it with its kin
-    sides: Callable | None = _oracle_sides  # (family, p) -> its sides record; None: REMARK1
+    sides: Callable = _oracle_sides  # (family, p) -> its sides record
 
     def ps(self, p_values: list) -> list:
         return [None] if self.p_min is None else [p for p in p_values if p >= self.p_min]
@@ -891,7 +854,7 @@ class FamilyFacts(NamedTuple):
 # The readings of most families, and of T4, T6 and T7.
 _PRINTED, _T4 = ("printed",), ("printed", "base-subscript")
 _T6, _T7 = ("printed", "t-to-p"), ("printed", "t-to-p-1", "j-to-n-1")
-_REMARK1 = FamilyFacts(_PRINTED, 1, None, group="REMARK1", sides=None)
+_REMARK1 = FamilyFacts(_PRINTED, 1, None, group="REMARK1", sides=_remark1_sides)
 _PROP1 = FamilyFacts(_PRINTED, 0, (0, 1), group="PROP1", sides=_prop1_sides)
 
 #: The facts of every family, in enum order.
@@ -910,9 +873,34 @@ FAMILY_FACTS: dict[IdentityFamily, FamilyFacts] = {
 }
 
 
-def _column(family: IdentityFamily, p: int | None, n_values: tuple) -> _Column | None:
-    """The unbuilt state of a (family, p) column, or None for REMARK1."""
-    return None if FAMILY_FACTS[family].sides is None else _Column(family, p, n_values)
+def _dense_sides(record, readings, ns: list):
+    """The record's (left side, right sides) at each n of the dense column ns."""
+    return record.dense(readings, ns[-1])
+
+
+def _column_sides(family: IdentityFamily, p: int | None, ns: list, readings):
+    """Yield (left side, its rendering, {reading: right side, or the
+    NotIntegral/NotDivisible it raised}) at each n of ns, once per reading.
+    Nothing runs before the first value is asked for, so the record is built
+    in the column's first cell.  A dense column, every n its family takes up
+    to N, takes `_dense_sides`, checked against the record's `cell` at N and
+    at its middle n; any other column takes `cell`."""
+    facts = FAMILY_FACTS[family]
+    record = facts.sides(family, p)
+    dense = ns[-1] is not None and ns == facts.ns(range(ns[-1] + 1))
+    fast = _dense_sides(record, readings, ns) if dense else None
+    sample = {ns[-1], ns[(len(ns) - 1) // 2]} if dense else ()
+    for n in ns:
+        lhs, forms = next(fast) if dense else record.cell(n, readings)
+        if n in sample:
+            sides = ("left side", lhs), ("closed form", forms)
+            for (what, value), ref in zip(sides, record.cell(n, readings)):
+                if _outcome(value) != _outcome(ref):
+                    raise FastPathMismatch(
+                        f"{family.value} p={p}: the column's {what} "
+                        f"disagrees with the per-cell evaluation at n={n}"
+                    )
+        yield from repeat((lhs, render_exact(lhs), forms), len(readings))
 
 
 #: The FAIL note of a closed form that raised, by exception type.
@@ -923,20 +911,15 @@ _RAISED_NOTES = {
 
 
 def _audit_cell(
-    family: IdentityFamily, n: int | None, p: int | None, reading: str,
-    column: _Column | None,
+    family: IdentityFamily, n: int | None, p: int | None, reading: str, column: Iterator,
 ) -> AuditEntry:
     """Evaluate one grid cell; failures are data, not exceptions.
 
-    `column` is the state shared by the cells of this (family, p); the
-    column's first cell builds it.
+    `column` is the `_column_sides` of this (family, p), whose next value
+    is this cell's sides: the column's first cell builds its record.
     """
-    if column is None:
-        lhs, rhs = remark1_relation(p, int(family.value.split("_")[1]))
-        lhs_text = render_exact(lhs)
-    else:
-        lhs, lhs_text, forms = column.sides(n)
-        rhs = forms[reading]
+    lhs, lhs_text, forms = next(column)
+    rhs = forms[reading]
     if isinstance(rhs, Exception):
         rhs_text, note = str(rhs), _RAISED_NOTES[type(rhs)]
     else:
@@ -979,7 +962,7 @@ def audit_columns(families, n_range, p_range) -> Iterator[list[AuditEntry]]:
     and is freed once the list is made, so a caller that writes each list
     out holds one column, not the report."""
     for family, p, ns, readings in _grid_columns(families, n_range, p_range):
-        column = _column(family, p, tuple(ns))
+        column = _column_sides(family, p, ns, readings)
         yield [_audit_cell(family, n, p, reading, column) for n in ns for reading in readings]
 
 

@@ -138,6 +138,14 @@ class CoeffTable:
 _CROSS_CHECK_LIMIT = 20
 
 
+def _check_row(n: int, row: tuple[int, ...], expected, source: str) -> None:
+    """Raise RecurrenceMismatch at the first entry of q row n that differs
+    from `expected`, the row as `source` gives it."""
+    for c, (value, want) in enumerate(zip(row, expected)):
+        if value != want:
+            raise RecurrenceMismatch(f"Q({n},{c}): recurrence gave {value}, {source} gives {want}")
+
+
 def _next_row(n: int, prev: tuple[int, ...]) -> tuple[int, ...]:
     """Row n+1 of the q-table from row n by the recurrences."""
     # q(n,1) lies outside row n only at n = 0; take it from the definition.
@@ -160,7 +168,8 @@ def coeff_rows(kind: str, n_max: int) -> Iterator[tuple[int, ...]]:
     against the definition by this call, so a bad argument (ValueError) or
     a disagreement (RecurrenceMismatch) is raised here, before any row is
     handed out.  Each later row is made from the one before when it is
-    asked for, so no table is held.
+    asked for, so no table is held; rows n_max and n_max//2 past them are
+    checked against `coeff_row` as they are made.
     """
     if kind not in ("Q", "S"):
         raise ValueError(f"kind must be 'Q' or 'S', got {kind!r}")
@@ -171,23 +180,20 @@ def coeff_rows(kind: str, n_max: int) -> Iterator[tuple[int, ...]]:
     for n in range(min(n_max, _CROSS_CHECK_LIMIT)):
         head.append(_next_row(n, head[n]))
     for n, row in enumerate(head):
-        for c, value in enumerate(row):
-            expected = q_coeff(n, c)
-            if value != expected:
-                raise RecurrenceMismatch(
-                    f"Q({n},{c}): recurrence gave {value}, "
-                    f"definition gives {expected}"
-                )
+        _check_row(n, row, (q_coeff(n, c) for c in range(len(row))), "definition")
     rows = _rows_after(head, n_max)
     return map(_s_row, rows) if kind == "S" else rows
 
 
 def _rows_after(head: list, n_max: int) -> Iterator[tuple[int, ...]]:
-    """The checked rows `head`, then the rows after them up to n_max."""
+    """The checked rows `head`, then the rows after them up to n_max, of
+    which rows n_max and n_max//2 are checked against `coeff_row`."""
     yield from head
     row = head[-1]
-    for n in range(len(head) - 1, n_max):
-        row = _next_row(n, row)
+    for n in range(len(head), n_max + 1):
+        row = _next_row(n - 1, row)
+        if n in (n_max, n_max // 2):
+            _check_row(n, row, coeff_row("Q", n), "coeff_row")
         yield row
 
 

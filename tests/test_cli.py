@@ -315,6 +315,26 @@ def test_tables_recurrence_fault_writes_nothing(capsys, monkeypatch, tmp_path):
     assert not (tmp_path / "tables.txt").exists()
 
 
+@pytest.mark.parametrize("n_max, caught", [(40, 40), (60, 30)])
+def test_tables_fault_past_the_checked_rows_is_caught(capsys, monkeypatch, n_max, caught):
+    # A recurrence fault at row 30, past the rows checked before the first
+    # byte, reaches row N; it is caught there, or at N//2 = 30 itself, by
+    # the comparison with coeff_row, after the Q rows before it are out.
+    real = seq._next_row
+
+    def broken(n, prev):
+        row = real(n, prev)
+        return (row[0] + 1, *row[1:]) if n + 1 == 30 else row
+
+    monkeypatch.setattr(seq, "_next_row", broken)
+    rc, out, err = run(capsys, "tables", "--n-max", str(n_max))
+    assert rc == 1
+    assert err.startswith(f"error: tables: RecurrenceMismatch: Q({caught},")
+    assert ", coeff_row gives " in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert [line.split(":")[0] for line in out.splitlines()] == [f"Q[{n}]" for n in range(caught)]
+
+
 class _CountingSink:
     """A stdout that keeps only the number of characters written."""
 

@@ -452,14 +452,14 @@ _FAST_PATHS = [
 
 
 def _patch_dense_sides(monkeypatch, change):
-    """Pass each (n, left side, right sides) of a column's dense_sides
+    """Pass each (n, left side, right sides) of a column's _dense_sides
     through change(n, lhs, forms), which returns the new (lhs, forms)."""
-    real = identities._Column.dense_sides
+    real = identities._dense_sides
 
-    def patched(self):
-        return (change(n, *sides) for n, sides in zip(self.n_values, real(self)))
+    def patched(record, readings, ns):
+        return (change(n, *sides) for n, sides in zip(ns, real(record, readings, ns)))
 
-    monkeypatch.setattr(identities._Column, "dense_sides", patched)
+    monkeypatch.setattr(identities, "_dense_sides", patched)
 
 
 @pytest.mark.parametrize("family, bump", _FAST_PATHS)
@@ -467,7 +467,7 @@ def _patch_dense_sides(monkeypatch, change):
 def test_fast_path_mismatch_is_raised(monkeypatch, family, bump, at):
     """A dense value off at a sampled n is caught, on either side.  The
     column is 0..8 (T4: 0,2,..,8 or 1,3,..,7), sampled at its last n and
-    its middle one.  `dense_sides` is bumped at that n, first in the left
+    its middle one.  `_dense_sides` is bumped at that n, first in the left
     side (PROP1 by 2, which keeps a ring element), then in every closed
     form, PROP1's included.  A column that is not dense never takes it."""
     sparse = audit([family], [2, 5, 8], [1])
@@ -509,19 +509,18 @@ def test_fast_path_check_compares_notintegral_message_and_type(monkeypatch):
 
 @pytest.mark.parametrize("n_range", [range(9), [2, 5, 8]])
 def test_no_column_outlives_its_audit(monkeypatch, n_range):
-    """Every column is freed by reference counting alone when `audit`
-    returns: nothing it keeps, dense iterator or kept exception, refers
-    back to it."""
+    """Every column generator is freed by reference counting alone when
+    `audit` returns: nothing it keeps, dense iterator or kept exception,
+    refers back to it."""
     refs = []
-    real_column = identities._column
+    real_column = identities._column_sides
 
     def recording_column(*args):
         column = real_column(*args)
-        if column is not None:
-            refs.append(weakref.ref(column))
+        refs.append(weakref.ref(column))
         return column
 
-    monkeypatch.setattr(identities, "_column", recording_column)
+    monkeypatch.setattr(identities, "_column_sides", recording_column)
     gc.collect()
     gc.disable()
     try:
@@ -530,8 +529,46 @@ def test_no_column_outlives_its_audit(monkeypatch, n_range):
     finally:
         gc.enable()
     assert any(e.note == "closed form is not a rational integer" for e in report.entries)
-    assert len(refs) == 4 * 3 + 2 + 4 * 3 + 3 * 2  # PROP1, LEMMA, T3/T5/T6/T7, T2/T4
+    # REMARK1, PROP1, LEMMA, T3/T5/T6/T7, T2/T4
+    assert len(refs) == 12 * 2 + 4 * 3 + 2 + 4 * 3 + 3 * 2
     assert alive == 0
+
+
+def test_column_work_runs_inside_its_cells(monkeypatch):
+    """Every oracle, transform, REMARK1 relation, q/s expansion and
+    rendering (left sides included) of an audit runs inside an
+    `_audit_cell` call, so a traced run counts it as a cell's time."""
+    depth = 0
+    calls, outside = [], []
+    real_cell = identities._audit_cell
+
+    def counting_cell(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            return real_cell(*args)
+        finally:
+            depth -= 1
+
+    def watched(name, real):
+        def call(*args):
+            calls.append(name)
+            if not depth:
+                outside.append(name)
+            return real(*args)
+
+        return call
+
+    names = (
+        "fib_power_sum_oracle", "binomial_transform", "remark1_relation",
+        "cross_power_expansion", "render_exact",
+    )
+    for name in names:
+        monkeypatch.setattr(identities, name, watched(name, getattr(identities, name)))
+    monkeypatch.setattr(identities, "_audit_cell", counting_cell)
+    audit(list(IdentityFamily), range(9), range(3))
+    assert set(calls) == set(names)
+    assert outside == []
 
 
 @pytest.mark.parametrize("n_range", [range(6), [0, 2, 5]])
