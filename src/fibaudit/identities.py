@@ -24,17 +24,19 @@ and, but for REMARK1's, by `dense(readings, N)` over a dense column: every
 n its family takes up to N, 0..N in every CLI audit or one parity for T4.
 Its sides are carried from one n to the next, holding O(1) values per n.
 The left sides of T2..T7, sum_k C(n,k) sigma^k F_k^P, are read off one
-binomial transform.  PROP1's sum_k C(n,k) w^k F_k (roots 1 + w phi, 1 + w
-psi) and LEMMA5/7's direct sums (roots phi + shift, psi + shift) are
-stepped from their roots by one helper, `_from_roots`.  On the right, the
-records step their Fibonacci and Lucas factors and numerator powers, and
-each Lucas-weighted q/s sum of T6/T7 and LEMMA5/7 is one coordinate of
-P_n(x) = sum_c q(n,c) x^c at x = +-phi^e, with P_n stepped by the q
-recurrences (`_row_sums`), so no row is formed.  The generator takes the
-next dense value, or in any other column the record's `cell`; at n = N and
-at the column's middle n it takes both, and a disagreement in value, type
-or exception message raises FastPathMismatch, which the CLI reports on one
-stderr line with exit 1.
+binomial transform.  Every other carried value is a two-root sequence,
+stepped by one helper, `_recurrent`: PROP1's sum_k C(n,k) w^k F_k (roots
+1 + w phi, 1 + w psi) and its numerator r_a^n - r_b^n (a base printed with
+(-1)^n enters negated, as (-1)^n a^n = (-a)^n), LEMMA5/7's direct sums
+(roots phi + shift, psi + shift), and per j the F_{jn}, L_{jn} and the
+products B_j^n L_{jn} (T2, T3, T5) and X_{jn} F_j^n (T4) of `_multiples`
+(roots (c phi^j)^d, (c psi^j)^d), and T6/T7's F_{dn}.  Each Lucas-weighted
+q/s sum of T6/T7 and LEMMA5/7 is one coordinate of P_n(x) = sum_c q(n,c)
+x^c at x = +-phi^e, with P_n stepped by the q recurrences (`_row_sums`),
+so no row is formed.  The generator takes the next dense value, or in any
+other column the record's `cell`; at n = N and at the column's middle n it
+takes both, and a disagreement in value, type or exception message raises
+FastPathMismatch, which the CLI reports on one stderr line with exit 1.
 """
 from __future__ import annotations
 
@@ -211,19 +213,18 @@ def _weighted_fib_sum(n: int, w: GoldenInt) -> GoldenInt:
 
 
 def _prop1_terms(p: int, variant: int):
-    """w and the two numerator bases of a variant's closed form, each base
-    with its sign pattern: the closed form at n is
-    (eps_a a^n - eps_b b^n)/sqrt5, where eps is (-1)^n for a base marked
-    alternating and 1 otherwise.  Returns (w, (a, a_alt), (b, b_alt))."""
+    """w and the two signed numerator bases (r_a, r_b) of a variant's closed
+    form (r_a^n - r_b^n)/sqrt5.  A base a printed with (-1)^n enters as
+    r = -a, since (-1)^n a^n = (-a)^n.  Returns (w, r_a, r_b)."""
     x, y = PHI, PSI
     if variant == 811:
-        return unit_pow(x, p), (unit_pow(x, p + 1) + 1, False), (unit_pow(x, p - 1) - 1, True)
+        return unit_pow(x, p), unit_pow(x, p + 1) + 1, 1 - unit_pow(x, p - 1)
     if variant == 812:
-        return -unit_pow(x, p), (unit_pow(x, p + 1) - 1, True), (unit_pow(x, p - 1) + 1, False)
+        return -unit_pow(x, p), 1 - unit_pow(x, p + 1), unit_pow(x, p - 1) + 1
     if variant == 813:
-        return unit_pow(y, p), (unit_pow(y, p - 1) - 1, True), (unit_pow(y, p + 1) + 1, False)
+        return unit_pow(y, p), 1 - unit_pow(y, p - 1), unit_pow(y, p + 1) + 1
     if variant == 814:
-        return -unit_pow(y, p), (unit_pow(y, p - 1) + 1, False), (unit_pow(y, p + 1) - 1, True)
+        return -unit_pow(y, p), unit_pow(y, p - 1) + 1, 1 - unit_pow(y, p + 1)
     raise ValueError(f"variant must be one of 811, 812, 813, 814, got {variant}")
 
 
@@ -231,6 +232,7 @@ def prop1_eval(n: int, p: int, variant: int) -> tuple[GoldenInt, GoldenInt]:
     """Weighted binomial sums of F_k against golden-power weights and their
     closed forms (variants 811..814).  Both sides as exact ring elements;
     raises NotDivisible when the closed form's numerator is no sqrt5 multiple."""
+    _nonnegative(n=n, p=p)
     lhs, rhs = _Prop1Sides(*_prop1_terms(p, variant)).cell(n, _PRINTED)
     if isinstance(rhs["printed"], Exception):
         raise rhs["printed"]
@@ -280,20 +282,22 @@ def _lucas_weighted_sum(row: tuple[int, ...], e: int, le: int) -> int:
     return total
 
 
-def _multiples(x, js, n0: int, d: int):
-    """Yield [x(j n) for j in js] at n = n0, n0+d, n0+2d, ..., for x = fib or
-    lucas, by X_{a+jd} = L_{jd} X_a - (-1)^(jd) X_{a-jd}."""
-    return _recurrent(
-        [x(j * n0) for j in js], [x(j * (n0 + d)) for j in js],
-        [lucas(j * d) for j in js], [(-1) ** (j * d) for j in js],
-    )
+def _multiples(x, js, n0: int, d: int, c):
+    """Yield (c_j^n X_{jn} for j in js), c_j the matching entry of c, at n =
+    n0, n0+d, n0+2d, ... for x = fib or lucas: per j, the `_recurrent` of
+    roots (c_j phi^j)^d and (c_j psi^j)^d, one small-by-big product a term."""
+    return zip(*(
+        _recurrent(cj**n0 * x(j * n0), cj ** (n0 + d) * x(j * (n0 + d)),
+                   cj**d * lucas(j * d), (-1) ** (j * d) * cj ** (2 * d))
+        for j, cj in zip(js, c)
+    ))
 
 
 class _T2T5Form(NamedTuple):
     """T2 (m = 4p), T3 or T5 (m = 4p+2) at one p.  At n the printed form is
       sign (head 2^n + sum_i eps_i C(m,i) B_j^n L_{jn}) sqrt5^(sqrt5 n) / 5^(m/2),
     j = m/2 - i, with eps_i = (-1)^i at even n and 1 at odd n, and sign =
-    odd_sign at odd n and 1 at even n."""
+    odd_sign at odd n and 1 at even n.  `rhs` takes the products B_j^n L_{jn}."""
 
     js: range  # m/2 down to 1, or to 0 for T3
     plain: list  # C(m, i): the weights at odd n
@@ -304,20 +308,17 @@ class _T2T5Form(NamedTuple):
     odd_sign: int  # -1 for T5, else 1
     five_exp: int  # m/2
 
-    def rhs(self, n: int, readings, b_j_n, l_jn) -> dict:
+    def rhs(self, n: int, readings, products) -> dict:
         sign, weights = (self.odd_sign, self.plain) if n % 2 else (1, self.signed)
-        total = sign * (self.head * 2**n + _dot(weights, map(mul, b_j_n, l_jn)))
+        total = sign * (self.head * 2**n + _dot(weights, products))
         return dict.fromkeys(readings, _caught(_reduce, total, self.sqrt5 * n, self.five_exp))
 
     def cell(self, n: int, readings) -> dict:
-        b_j_n = [self.base(j) ** n for j in self.js]
-        return self.rhs(n, readings, b_j_n, [lucas(j * n) for j in self.js])
+        return self.rhs(n, readings, [self.base(j) ** n * lucas(j * n) for j in self.js])
 
     def dense(self, readings):
-        bases = [self.base(j) for j in self.js]
-        b_j_n = _geometric(bases, [1] * len(bases))
-        l_jn = _multiples(lucas, self.js, 0, 1)
-        return map(self.rhs, count(), repeat(readings), b_j_n, l_jn)
+        products = _multiples(lucas, self.js, 0, 1, map(self.base, self.js))
+        return map(self.rhs, count(), repeat(readings), products)
 
 
 def _t2_t5_form(family: IdentityFamily, p: int) -> _T2T5Form:
@@ -337,33 +338,38 @@ class _T4Form(NamedTuple):
       sum_{i<=m/2} (-1)^i C(m,i) X_{jn} B^n sqrt5^(n + odd) / 5^(m/2),
     j = m/2 - i, with X = L for T4_EVEN and F for T4_ODD (whose
     (1/sqrt5)^(4p-1) is sqrt5/5^(2p)), so T4_ODD takes no L_{jn}.  The base
-    B is F_{jn} as printed and F_j in reading "base-subscript".  A dense
-    column starts at n = odd and steps n by 2."""
+    B is F_{jn} as printed and F_j in reading "base-subscript".  `rhs` takes
+    the products X_{jn} F_j^n, F_{jn} and L_{jn}.  A dense column starts at
+    n = odd and steps n by 2."""
 
     js: range  # m/2 down to 0
     signed: list  # (-1)^i C(m, i)
     odd: int  # 1 for T4_ODD: X = F and one more sqrt5; 0 for T4_EVEN: X = L
     five_exp: int  # m/2
 
-    def rhs(self, n: int, readings, f_jn, f_j_n, l_jn=None) -> dict:
+    def rhs(self, n: int, readings, products, f_jn, l_jn=None) -> dict:
         out = {}
         for r in readings:
-            bases = f_j_n if r == "base-subscript" else [f**n for f in f_jn]
-            total = _dot(self.signed, map(mul, l_jn or f_jn, bases))
+            if r == "base-subscript":
+                total = _dot(self.signed, products)
+            else:
+                total = _dot(self.signed, map(mul, l_jn or f_jn, [f**n for f in f_jn]))
             out[r] = _caught(_reduce, total, n + self.odd, self.five_exp)
         return out
 
     def cell(self, n: int, readings) -> dict:
         js = self.js
+        f_jn = [fib(j * n) for j in js]
         l_jn = None if self.odd else [lucas(j * n) for j in js]
-        return self.rhs(n, readings, [fib(j * n) for j in js], [fib(j) ** n for j in js], l_jn)
+        products = [x * fib(j) ** n for x, j in zip(l_jn or f_jn, js)]
+        return self.rhs(n, readings, products, f_jn, l_jn)
 
     def dense(self, readings):
-        odd, f_j = self.odd, [fib(j) for j in self.js]
-        f_j_n = _geometric([f * f for f in f_j], [f**odd for f in f_j])
+        odd, js = self.odd, self.js
         xs = (fib,) if odd else (fib, lucas)
-        f_jn, *l_jn = (_multiples(x, self.js, odd, 2) for x in xs)
-        return map(self.rhs, count(odd, 2), repeat(readings), f_jn, f_j_n, *l_jn)
+        products = _multiples(xs[-1], js, odd, 2, map(fib, js))
+        f_jn, *l_jn = (_multiples(x, js, odd, 2, repeat(1)) for x in xs)
+        return map(self.rhs, count(odd, 2), repeat(readings), products, f_jn, *l_jn)
 
 
 def _t4_form(family: IdentityFamily, p: int) -> _T4Form:
@@ -411,7 +417,7 @@ class _T6T7Form(NamedTuple):
         empty) and F_{dn} carried."""
         keys = [*self.q, *self.s]
         sums = chain([dict.fromkeys(keys, 0)], _row_sums(keys))
-        f_dn = (f for f, in _multiples(fib, [self.d], 0, 1))
+        f_dn = _recurrent(0, fib(self.d), lucas(self.d), (-1) ** self.d)
         return map(self.rhs, count(), repeat(readings), sums, f_dn)
 
 
@@ -456,6 +462,7 @@ def cross_power_expansion(n: int, a, shift: int):
     and expanded is q(n,0) + sum_{c=1..n} q(n,c) (a^c + b^c) from row n of
     the q (shift +1) or s (shift -1) coefficients.
     """
+    _nonnegative(n=n)
     if shift not in (1, -1):
         raise ValueError(f"shift must be +1 or -1, got {shift}")
     if isinstance(a, GoldenInt):
@@ -678,20 +685,15 @@ def _dot(xs, ys) -> int:
     return sum(map(mul, xs, ys))
 
 
-def _geometric(ratios: list, first: list):
-    """Yield first, first*ratios, first*ratios^2, ... elementwise."""
+def _recurrent(y0, y1, mult, sign):
+    """Yield y_0, y_1, y_2, ... by y_{k+2} = mult y_{k+1} - sign y_k: the
+    sequence whose two roots have sum `mult` and product `sign`, from its
+    first two terms.  The terms and coefficients are ints or ring elements.
+    With mult = L_d and sign = (-1)^d, from X_0 and X_d, these are X_{dk}
+    for X = F, L: X_{a+d} = L_d X_a - (-1)^d X_{a-d}."""
     while True:
-        yield first
-        first = list(map(mul, first, ratios))
-
-
-def _recurrent(first: list, second: list, mult: list, sign: list):
-    """Yield first, second, ... elementwise by x_{k+2} = mult x_{k+1} -
-    sign x_k.  With mult = L_d and sign = (-1)^d these are L_{dk} or F_{dk}
-    for k = 0, 1, 2, ...: X_{a+d} = L_d X_a - (-1)^d X_{a-d} for X = F, L."""
-    while True:
-        yield first
-        first, second = second, [m * y - s * x for m, s, x, y in zip(mult, sign, first, second)]
+        yield y0
+        y0, y1 = y1, mult * y1 - sign * y0
 
 
 def _row_sums(keys):
@@ -720,13 +722,6 @@ def _row_sums(keys):
             (kind, e): (poly.u - q0) * (sign if kind == "S" else 1)
             for (kind, e), poly in polys.items()
         }
-
-
-def _from_roots(r1, r2, y0, y1):
-    """Yield y_0, y_1, y_2, ... of the sequence whose characteristic roots
-    are r1 and r2, y_{n+2} = (r1+r2) y_{n+1} - r1 r2 y_n, from the given
-    first two terms.  The roots and terms are ints or ring elements."""
-    return chain.from_iterable(_recurrent([y0], [y1], [r1 + r2], [r1 * r2]))
 
 
 class _OracleSides(NamedTuple):
@@ -762,30 +757,28 @@ def _oracle_sides(family: IdentityFamily, p: int) -> _OracleSides:
 
 class _Prop1Sides(NamedTuple):
     """PROP1 at one p: the left side y_n = sum_k C(n,k) w^k F_k and the
-    closed form (eps_a a^n - eps_b b^n)/sqrt5.  A cell takes
-    `_weighted_fib_sum` and a**n, b**n.  As w^k F_k = ((w phi)^k -
-    (w psi)^k)/sqrt5, y_n has the roots 1 + w phi and 1 + w psi, so a dense
-    column steps it from y_0 = 0, y_1 = w, and carries a^n and b^n."""
+    closed form (r_a^n - r_b^n)/sqrt5.  A cell takes `_weighted_fib_sum`
+    and r_a**n, r_b**n.  As w^k F_k = ((w phi)^k - (w psi)^k)/sqrt5, y_n
+    has the roots 1 + w phi and 1 + w psi, so a dense column steps it from
+    y_0 = 0, y_1 = w, and the numerator from the roots r_a, r_b."""
 
     w: GoldenInt
-    a: tuple  # (a, whether eps_a alternates)
-    b: tuple  # (b, whether eps_b alternates)
+    r_a: GoldenInt  # the first numerator base, negated if printed with (-1)^n
+    r_b: GoldenInt  # the second, likewise
 
-    def rhs(self, n: int, readings, a_n, b_n) -> dict:
-        """From a^n and b^n; NotDivisible when the numerator is no sqrt5 multiple."""
-        odd = n % 2
-        (_, a_alt), (_, b_alt) = self.a, self.b
-        numerator = (-a_n if a_alt and odd else a_n) - (-b_n if b_alt and odd else b_n)
+    def rhs(self, readings, numerator) -> dict:
+        """NotDivisible when the numerator is no sqrt5 multiple."""
         return dict.fromkeys(readings, _caught(div_sqrt5, numerator))
 
     def cell(self, n: int, readings) -> tuple:
-        return _weighted_fib_sum(n, self.w), self.rhs(n, readings, self.a[0] ** n, self.b[0] ** n)
+        return _weighted_fib_sum(n, self.w), self.rhs(readings, self.r_a**n - self.r_b**n)
 
     def dense(self, readings, n_max: int):
-        w = self.w
-        lefts = _from_roots(1 + w * PHI, 1 + w * PSI, ZERO, w)
-        powers = _geometric([self.a[0], self.b[0]], [ONE, ONE])
-        return zip(lefts, (self.rhs(n, readings, a_n, b_n) for n, (a_n, b_n) in enumerate(powers)))
+        w, r_a, r_b = self
+        l_a, l_b = 1 + w * PHI, 1 + w * PSI
+        lefts = _recurrent(ZERO, w, l_a + l_b, l_a * l_b)
+        numerators = _recurrent(ZERO, r_a - r_b, r_a + r_b, r_a * r_b)
+        return zip(lefts, map(self.rhs, repeat(readings), numerators))
 
 
 def _prop1_sides(family: IdentityFamily, p: int) -> _Prop1Sides:
@@ -807,11 +800,11 @@ class _LemmaSides(NamedTuple):
         return direct, dict.fromkeys(readings, expanded)
 
     def dense(self, readings, n_max: int):
-        roots = PHI + self.shift, PSI + self.shift
+        r1, r2 = PHI + self.shift, PSI + self.shift
         key = ("Q" if self.shift == 1 else "S", 1)
         sums = _row_sums([key])
         rights = chain([next(sums)[key]], (GoldenInt(2 * s[key], 0) for s in sums))
-        lefts = _from_roots(*roots, 1, sum(roots))
+        lefts = _recurrent(1, r1 + r2, r1 + r2, r1 * r2)
         return zip(lefts, map(dict.fromkeys, repeat(readings), rights))
 
 
@@ -922,6 +915,8 @@ def _audit_cell(
     rhs = forms[reading]
     if isinstance(rhs, Exception):
         rhs_text, note = str(rhs), _RAISED_NOTES[type(rhs)]
+    elif type(rhs) is type(lhs) and rhs == lhs:
+        rhs_text, note = lhs_text, ""
     else:
         rhs_text = render_exact(rhs)
         note = "" if lhs == rhs else "printed form disagrees with the brute-force oracle"

@@ -31,7 +31,7 @@ from fibaudit.identities import (
     remark1_relation,
     render_exact,
 )
-from fibaudit.ring import GoldenInt, NotDivisible, NotIntegral, PHI, div_sqrt5
+from fibaudit.ring import GoldenInt, NotDivisible, NotIntegral, PHI, PSI, div_sqrt5
 from fibaudit.sequences import coeff_row, fib, lucas
 from fibaudit.transforms import Seq
 
@@ -231,6 +231,9 @@ def test_unknown_reading_rejected(family, reading):
         (fib_power_sum_binet, (-1, 2), "n"),
         (fib_power_sum_oracle, (3, -1), "p"),
         (fib_power_sum_binet, (3, -1), "p"),
+        (prop1_eval, (2, -1, 811), "p"),
+        (prop1_eval, (-1, 1, 811), "n"),
+        (cross_power_expansion, (-1, PHI, 1), "n"),
     ],
 )
 def test_negative_n_or_p_is_rejected(evaluator, args, name):
@@ -430,8 +433,9 @@ def test_t4_even_column_matches_per_cell_evaluation():
 
 
 def test_t4_odd_takes_each_f_jn_once(monkeypatch):
-    """T4_ODD's factor X is F itself, so F_{jn} is evaluated once per cell
-    and carried once per dense column; T4_EVEN carries F_{jn} and L_{jn}."""
+    """T4_ODD's factor X is F itself, so F_{jn} is evaluated once per cell;
+    a dense column carries the products X_{jn} F_j^n beside F_{jn}, and
+    T4_EVEN also L_{jn}."""
     calls = []
     with monkeypatch.context() as m:
         m.setattr(identities, "fib", lambda k: calls.append(k) or fib(k))
@@ -439,7 +443,7 @@ def test_t4_odd_takes_each_f_jn_once(monkeypatch):
     assert [calls.count(k) for k in (9, 18, 27, 36)] == [1, 1, 1, 1]
     real = identities._multiples
     monkeypatch.setattr(identities, "_multiples", lambda x, *a: calls.append(x) or real(x, *a))
-    for family, carried in ((F.T4_ODD, [fib]), (F.T4_EVEN, [fib, lucas])):
+    for family, carried in ((F.T4_ODD, [fib, fib]), (F.T4_EVEN, [lucas, fib, lucas])):
         calls.clear()
         audit([family], range(10), [2])
         assert calls == carried, family
@@ -571,6 +575,18 @@ def test_column_work_runs_inside_its_cells(monkeypatch):
     assert outside == []
 
 
+def test_each_pass_right_side_reuses_its_left_side_text(monkeypatch):
+    """A PASS right side equals its left side in type and value, so its
+    text is the left side's; only the 8 T7 't-to-p-1' FAILs at n >= 1 are
+    rendered beside the 36 left sides."""
+    expected = audit([F.T2, F.PROP1_811, F.LEMMA5, F.T7], range(9), [1])
+    renders = []
+    real = identities.render_exact
+    monkeypatch.setattr(identities, "render_exact", lambda x: renders.append(x) or real(x))
+    assert audit([F.T2, F.PROP1_811, F.LEMMA5, F.T7], range(9), [1]) == expected
+    assert len(renders) == 44
+
+
 @pytest.mark.parametrize("n_range", [range(6), [0, 2, 5]])
 def test_notdivisible_closed_form_fails_with_both_values(monkeypatch, n_range):
     """A PROP1 numerator that is no sqrt5 multiple gives a FAIL row that
@@ -581,7 +597,7 @@ def test_notdivisible_closed_form_fails_with_both_values(monkeypatch, n_range):
     w = real_terms(1, 811)[0]
 
     def terms(p, variant):
-        return real_terms(p, variant)[0], (GoldenInt(4, 0), False), (GoldenInt(0, 0), False)
+        return real_terms(p, variant)[0], GoldenInt(4, 0), GoldenInt(0, 0)
 
     monkeypatch.setattr(identities, "_prop1_terms", terms)
     entries = audit([F.PROP1_811], n_range, [1]).entries
@@ -640,6 +656,16 @@ def test_row_sums_match_lucas_weighted_sums_of_rows():
             assert sums[kind, e] == want, (kind, e, n)
 
 
+def test_prop1_numerator_bases_are_the_left_side_roots():
+    """(r_a, r_b) = (1 + w phi, 1 + w psi) at every p <= 64: both sides of
+    PROP1 are then the two-root sequence from y_0 = 0, y_1 = w, so PROP1
+    holds at every n."""
+    for variant in (811, 812, 813, 814):
+        for p in range(65):
+            w, r_a, r_b = identities._prop1_terms(p, variant)
+            assert (r_a, r_b) == (1 + w * PHI, 1 + w * PSI), (variant, p)
+
+
 def test_prop1_dense_columns_match_prop1_eval_at_every_n():
     variants = [F.PROP1_811, F.PROP1_812, F.PROP1_813, F.PROP1_814]
     entries = audit(variants, range(101), range(7)).entries
@@ -649,11 +675,11 @@ def test_prop1_dense_columns_match_prop1_eval_at_every_n():
         assert (e.lhs, e.rhs, e.verdict) == (render_exact(lhs), render_exact(rhs), "PASS")
 
 
-def _dense_entries_matching_closed_form_rhs(families):
-    """The entries of a dense audit of `families` at n <= 100, p <= 6, each
-    checked against `closed_form_rhs` at its own n: the rendered value, or
-    the NotIntegral message."""
-    entries = audit(families, range(101), range(7)).entries
+def _dense_entries_matching_closed_form_rhs(families, n_range=range(101), p_range=range(7)):
+    """The entries of a dense audit of `families`, by default at n <= 100,
+    p <= 6, each checked against `closed_form_rhs` at its own n: the
+    rendered value, or the NotIntegral message."""
+    entries = audit(families, n_range, p_range).entries
     for e in entries:
         try:
             want = render_exact(closed_form_rhs(IdentityFamily(e.family), e.n, e.p, e.reading))
@@ -670,7 +696,9 @@ def test_t6_t7_dense_columns_match_closed_form_rhs_at_every_n():
     assert identities._t6_t7_form(F.T7, 0).t_hi["t-to-p-1"] == -1
     entries = _dense_entries_matching_closed_form_rhs([F.T6, F.T7])
     assert len(entries) == 101 * 7 * 5
-    for e in entries:
+    at_cap = _dense_entries_matching_closed_form_rhs([F.T6, F.T7], range(13), [16, 64])
+    assert len(at_cap) == 13 * 2 * 5
+    for e in entries + at_cap:
         if e.reading in ("printed", "j-to-n-1"):
             assert e.verdict == "PASS", e[:4]
 
@@ -678,9 +706,12 @@ def test_t6_t7_dense_columns_match_closed_form_rhs_at_every_n():
 def test_t2_t5_dense_columns_match_closed_form_rhs_at_every_n():
     # T2 and T4 start at p = 1; T4_EVEN takes 51 even n and T4_ODD 50 odd
     # ones, each in two readings.  T3's odd n raise NotIntegral.
-    entries = _dense_entries_matching_closed_form_rhs([F.T2, F.T3, F.T4_EVEN, F.T4_ODD, F.T5])
+    families = [F.T2, F.T3, F.T4_EVEN, F.T4_ODD, F.T5]
+    entries = _dense_entries_matching_closed_form_rhs(families)
     assert len(entries) == 101 * (6 + 7 + 7) + (51 + 50) * 6 * 2
     assert any(e.note == "closed form is not a rational integer" for e in entries)
+    at_cap = _dense_entries_matching_closed_form_rhs(families, range(13), [16, 64])
+    assert len(at_cap) == 13 * 2 * 3 + (7 + 6) * 2 * 2
 
 
 @pytest.mark.parametrize("family, p", [(F.T7, 1), (F.LEMMA5, 0)])
@@ -700,17 +731,14 @@ def test_faulty_row_sums_hit_the_sampled_check(monkeypatch, family, p):
 @pytest.mark.parametrize("fault", ["step", "root"])
 def test_faulty_prop1_step_hits_the_sampled_check(monkeypatch, family, p, fault):
     """PROP1's and LEMMA5/7's dense left sides are stepped from their roots
-    by one helper: a faulty step, or one root off by one, is caught."""
-    if fault == "step":
-        real = identities._recurrent
+    by one helper: a faulty step (the roots' sum off by one), or a faulty
+    root (their product off by one), is caught."""
+    real = identities._recurrent
 
-        def off_by_one(first, second, mult, sign):
-            return real(first, second, [m + 1 for m in mult], sign)
+    def off_by_one(y0, y1, mult, sign):
+        return real(y0, y1, mult + (fault == "step"), sign + (fault == "root"))
 
-        monkeypatch.setattr(identities, "_recurrent", off_by_one)
-    else:
-        real = identities._from_roots
-        monkeypatch.setattr(identities, "_from_roots", lambda r1, r2, *ys: real(r1 + 1, r2, *ys))
+    monkeypatch.setattr(identities, "_recurrent", off_by_one)
     with pytest.raises(FastPathMismatch, match="left side disagrees .* at n=6$"):
         audit([family], range(13), [p])
 
