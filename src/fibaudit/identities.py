@@ -30,13 +30,14 @@ stepped by one helper, `_recurrent`: PROP1's sum_k C(n,k) w^k F_k (roots
 (-1)^n enters negated, as (-1)^n a^n = (-a)^n), LEMMA5/7's direct sums
 (roots phi + shift, psi + shift), and per j the F_{jn}, L_{jn} and the
 products B_j^n L_{jn} (T2, T3, T5) and X_{jn} F_j^n (T4) of `_multiples`
-(roots (c phi^j)^d, (c psi^j)^d), and T6/T7's F_{dn}.  Each Lucas-weighted
-q/s sum of T6/T7 and LEMMA5/7 is one coordinate of P_n(x) = sum_c q(n,c)
-x^c at x = +-phi^e, with P_n stepped by the q recurrences (`_row_sums`),
-so no row is formed.  The generator takes the next dense value, or in any
-other column the record's `cell`; at n = N and at the column's middle n it
-takes both, and a disagreement in value, type or exception message raises
-FastPathMismatch, which the CLI reports on one stderr line with exit 1.
+(roots (c phi^j)^d, (c psi^j)^d), and T6/T7's F_{dn}.  Each q/s sum of
+T6/T7 and LEMMA5/7 is one coordinate of P_n(x) = sum_c q(n,c) x^c at x =
++-phi^e, with P_n stepped by the q recurrences (`_row_sums`), so no row is
+formed; a cell sums its row by `_row_power_sum`, sharing no code with it.
+The generator takes the next dense value, or in any other column the
+record's `cell`; at n = N and at the column's middle n it takes both, and a
+disagreement in value, type or exception message raises FastPathMismatch,
+which the CLI reports on one stderr line with exit 1.
 """
 from __future__ import annotations
 
@@ -267,19 +268,17 @@ def _reduce(total: int, sqrt5_exp: int, five_exp: int):
     raise NotIntegral(f"0{'+' if b > 0 else ''}{render_exact(b)}*sqrt5")
 
 
-def _lucas_weighted_sum(row: tuple[int, ...], e: int, le: int) -> int:
-    """row[0] + sum_{j>=1} row[j] * L_{e*j} over the whole row, 0 for the
-    empty row, where le = L_e and L_{e(j+1)} = L_e L_{ej} - (-1)^e L_{e(j-1)}.
-    """
-    if not row:
-        return 0
-    total = row[0]
-    sign = -1 if e % 2 else 1  # (-1)^e
-    prev, cur = 2, le  # L_0, L_e
-    for x in row[1:]:
-        total += x * cur
-        prev, cur = cur, le * cur - sign * prev
-    return total
+def _row_power_sum(row, t, ab):
+    """row[0] + sum_{c>=1} row[c] s_c, s_c = a^c + b^c for the roots of
+    x^2 - t x + ab, summed backward (Clenshaw 1955): b_c = row[c] + t b_{c+1}
+    - ab b_{c+2} gives row[0] + t b_1 - 2 ab b_2, each product by t or ab.
+    A row of length <= 1 gives row[0] itself, and the empty row 0."""
+    if len(row) <= 1:
+        return row[0] if row else 0
+    b1 = b2 = 0
+    for x in row[:0:-1]:
+        b1, b2 = x + t * b1 - ab * b2, b1
+    return row[0] + t * b1 - 2 * ab * b2
 
 
 def _multiples(x, js, n0: int, d: int, c):
@@ -406,10 +405,10 @@ class _T6T7Form(NamedTuple):
 
     def cell(self, n: int, readings) -> dict:
         """Rows n-1 of q and s built by `coeff_row` and summed by
-        `_lucas_weighted_sum`, and F_{dn} from `fib`.  Row -1 is empty,
-        since every binomial in the defining sum of q(-1, c) vanishes."""
+        `_row_power_sum` (t = L_e, ab = (-1)^e), and F_{dn} from `fib`.  Row
+        -1 is empty, as every binomial in the defining sum of q(-1, c) is 0."""
         rows = {kind: coeff_row(kind, n - 1) if n >= 1 else () for kind in "QS"}
-        sums = {(k, e): _lucas_weighted_sum(rows[k], e, lucas(e)) for k, e in (*self.q, *self.s)}
+        sums = {(k, e): _row_power_sum(rows[k], lucas(e), (-1) ** e) for k, e in self.q | self.s}
         return self.rhs(n, readings, sums, fib(self.d * n))
 
     def dense(self, readings):
@@ -460,7 +459,7 @@ def cross_power_expansion(n: int, a, shift: int):
 
     Returns (direct, expanded) where direct is the plain double-power sum
     and expanded is q(n,0) + sum_{c=1..n} q(n,c) (a^c + b^c) from row n of
-    the q (shift +1) or s (shift -1) coefficients.
+    the q (shift +1) or s (shift -1) coefficients, by `_row_power_sum`.
     """
     _nonnegative(n=n)
     if shift not in (1, -1):
@@ -478,11 +477,10 @@ def cross_power_expansion(n: int, a, shift: int):
     if a * b != -1:
         raise PreconditionError(f"a*b = {a * b}, expected -1")
     a_shift, b_shift = _powers(a + shift, n), _powers(b + shift, n)
-    power_sums = [x + y for x, y in zip(_powers(a, n), _powers(b, n))]
     row = coeff_row("Q" if shift == 1 else "S", n)
     return (
         sum(a_shift[n - j] * b_shift[j] for j in range(n + 1)),
-        sum(row[c] * power_sums[c] for c in range(1, n + 1)) + row[0],
+        _row_power_sum(row, a + b, -1),
     )
 
 
@@ -787,9 +785,9 @@ def _prop1_sides(family: IdentityFamily, p: int) -> _Prop1Sides:
 
 class _LemmaSides(NamedTuple):
     """LEMMA5 (shift +1) or LEMMA7 (shift -1) at a = phi, b = -1/a = psi.
-    A cell takes both sides from one `cross_power_expansion`.  A dense
-    column steps D_n = sum_{j=0..n} (a+shift)^(n-j) (b+shift)^j from its
-    roots a+shift, b+shift and D_0 = 1, D_1 = their sum; the right side,
+    A cell is one `cross_power_expansion` (row n by `_row_power_sum`).  A
+    dense column steps D_n = sum_{j=0..n} (a+shift)^(n-j) (b+shift)^j from
+    its roots a+shift, b+shift and D_0 = 1, D_1 = their sum; the right side,
     row[0] + sum_{c>=1} row[c] L_c as a^c + b^c = L_c, is the e = 1 sum of
     `_row_sums` made a ring element.  Both sides at n = 0 are the int 1."""
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 import re
 import sys
 import weakref
@@ -15,7 +16,7 @@ from fibaudit import identities
 from fibaudit.identities import (
     FAMILY_FACTS,
     FastPathMismatch,
-    _lucas_weighted_sum,
+    _row_power_sum,
     _reduce,
     AuditEntry,
     AuditReport,
@@ -152,8 +153,31 @@ def test_lucas_weighted_sum_matches_lucas_calls():
             row = coeff_row(kind, n)
             for e in (0, 1, 2, 3, 4, 7, 10, 13):
                 want = row[0] + sum(row[j] * lucas(e * j) for j in range(1, n + 1))
-                assert _lucas_weighted_sum(row, e, lucas(e)) == want, (kind, n, e)
-    assert _lucas_weighted_sum((), 5, lucas(5)) == 0
+                assert _row_power_sum(row, lucas(e), (-1) ** e) == want, (kind, n, e)
+    assert _row_power_sum((), lucas(5), -1) == 0
+
+
+def test_row_power_sum_is_the_forward_sum():
+    """The backward sum equals row[0] + sum_{c>=1} row[c] (a^c + b^c) summed
+    forward, in value and type: for int t = L_e, ab = (-1)^e (a = phi^e,
+    a^c + b^c = L_{ec}), for ring t (a = phi) and for Fraction t, on rows
+    of length 0, 1 and 2 and on random rows.  A one-entry row gives its
+    entry itself, so LEMMA's n = 0 expanded side stays the int 1."""
+    rng = random.Random(24)
+    rows = [(), (7,), (-3, 5), *(
+        tuple(rng.randint(-10**6, 10**6) for _ in range(rng.randint(3, 40)))
+        for _ in range(20)
+    )]
+    cases = [(lucas(e), (-1) ** e, lambda c, e=e: lucas(e * c)) for e in range(9)]
+    cases += [(a + b, a * b, lambda c, a=a, b=b: a**c + b**c)
+              for a, b in ((PHI, PSI), (Fraction(3, 2), Fraction(-2, 3)))]
+    for t, ab, power_sum in cases:
+        for row in rows:
+            want = row[0] + sum(x * power_sum(c) for c, x in enumerate(row) if c) if row else 0
+            got = _row_power_sum(row, t, ab)
+            assert (type(got), got) == (type(want), want), (t, ab, row)
+        for entry in (1, -4, Fraction(2, 3), PHI):
+            assert _row_power_sum((entry,), t, ab) is entry
 
 
 def test_t6_p0_is_even_fib():
@@ -652,7 +676,7 @@ def test_row_sums_match_lucas_weighted_sums_of_rows():
     for n, sums in zip(range(81), identities._row_sums(keys)):
         assert set(sums) == set(keys)
         for kind, e in keys:
-            want = _lucas_weighted_sum(coeff_row(kind, n), e, lucas(e))
+            want = _row_power_sum(coeff_row(kind, n), lucas(e), (-1) ** e)
             assert sums[kind, e] == want, (kind, e, n)
 
 
