@@ -11,14 +11,17 @@ values are exact past CPython's 4,300-digit int->str limit.  Exit codes:
 0 success, 1 suite failure or an unexpected error (reported as one line on
 standard error; an `audit` that fails after its first column has already
 written the columns before it), 2 invalid configuration, 3 printed-form
-audit FAIL, 4 output I/O failure.
+audit FAIL, 4 output I/O failure, to standard output or --out (one line
+on standard error).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
 
@@ -91,25 +94,37 @@ def _emit(out, payload: str) -> None:
         out.write(payload[start:start + (1 << 16)])
 
 
+def _discard_stdout() -> None:
+    """Point standard output's file descriptor at the null device, so the
+    interpreter's flush at exit, which would fail as the write did, drops
+    what is left in the buffer instead of reporting a second error."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: nothing is flushed to a descriptor at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _write_report(path: str | None, chunks: Iterable[str]) -> int:
     """Write the report's chunks, in order, to the --out `path` or,
-    without one, to standard output.
+    without one, to standard output; a failed write or flush to either
+    gives one stderr line and exit code 4.
 
     Each chunk is written as soon as it is made and dropped before the
     next is made, so this function holds one chunk at a time, never two.
     """
-    if not path:
-        for chunk in chunks:
-            _emit(sys.stdout, chunk)
-            del chunk
-        return 0
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
             for chunk in chunks:
-                _emit(fh, chunk)
+                _emit(out, chunk)
                 del chunk
+            out.flush()
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        if not path:
+            _discard_stdout()
+        print(f"error: cannot write {path or 'standard output'}: {exc}", file=sys.stderr)
         return 4
     return 0
 

@@ -171,29 +171,24 @@ def fib_power_sum_binet(n: int, p: int, sign: str = "+") -> int:
 # ---------------------------------------------------------------------------
 
 
+# (d, c, L or F) of relation i at b = phi and of relation i + 6 at b = psi:
+# b^(4p+2d) + c = b^(2p+d) L_(2p+d), or b^(2p+d) sqrt5 F_(2p+d) with sqrt5
+# negated at psi.
+_REMARK1_SHAPES = (
+    (0, 1, "L"), (0, -1, "F"), (-1, 1, "F"), (1, 1, "F"), (-1, -1, "L"), (1, -1, "L")
+)
+
+
 def remark1_relation(p: int, index: int) -> tuple[GoldenInt, GoldenInt]:
     """Both sides of the indexed power relation (index 1..12), exactly."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    x, y = PHI, PSI
-    relations = {
-        1: lambda: (x ** (4 * p) + 1, x ** (2 * p) * lucas(2 * p)),
-        2: lambda: (x ** (4 * p) - 1, x ** (2 * p) * SQRT5 * fib(2 * p)),
-        3: lambda: (x ** (4 * p - 2) + 1, x ** (2 * p - 1) * SQRT5 * fib(2 * p - 1)),
-        4: lambda: (x ** (4 * p + 2) + 1, x ** (2 * p + 1) * SQRT5 * fib(2 * p + 1)),
-        5: lambda: (x ** (4 * p - 2) - 1, x ** (2 * p - 1) * lucas(2 * p - 1)),
-        6: lambda: (x ** (4 * p + 2) - 1, x ** (2 * p + 1) * lucas(2 * p + 1)),
-        7: lambda: (y ** (4 * p) + 1, y ** (2 * p) * lucas(2 * p)),
-        8: lambda: (y ** (4 * p) - 1, -(y ** (2 * p)) * SQRT5 * fib(2 * p)),
-        9: lambda: (y ** (4 * p - 2) + 1, -(y ** (2 * p - 1)) * SQRT5 * fib(2 * p - 1)),
-        10: lambda: (y ** (4 * p + 2) + 1, -(y ** (2 * p + 1)) * SQRT5 * fib(2 * p + 1)),
-        11: lambda: (y ** (4 * p - 2) - 1, y ** (2 * p - 1) * lucas(2 * p - 1)),
-        12: lambda: (y ** (4 * p + 2) - 1, y ** (2 * p + 1) * lucas(2 * p + 1)),
-    }
-    if index not in relations:
+    if index not in range(1, 13):
         raise ValueError(f"relation index must be 1..12, got {index}")
-    lhs, rhs = relations[index]()
-    return GoldenInt._coerce(lhs), GoldenInt._coerce(rhs)
+    d, c, form = _REMARK1_SHAPES[(index - 1) % 6]
+    b, root5 = (PHI, SQRT5) if index <= 6 else (PSI, -SQRT5)
+    e = 2 * p + d
+    return b ** (2 * e) + c, b**e * (lucas(e) if form == "L" else root5 * fib(e))
 
 
 def _weighted_fib_sum(n: int, w: GoldenInt) -> GoldenInt:
@@ -213,20 +208,21 @@ def _weighted_fib_sum(n: int, w: GoldenInt) -> GoldenInt:
     return GoldenInt(u, v)
 
 
+# variant -> (b, s): w = s b^p, and the numerator bases are 1 + s b^(p+1)
+# and 1 - s b^(p-1), in that order at phi and swapped at psi.
+_PROP1_VARIANTS = {811: (PHI, 1), 812: (PHI, -1), 813: (PSI, 1), 814: (PSI, -1)}
+
+
 def _prop1_terms(p: int, variant: int):
     """w and the two signed numerator bases (r_a, r_b) of a variant's closed
     form (r_a^n - r_b^n)/sqrt5.  A base a printed with (-1)^n enters as
     r = -a, since (-1)^n a^n = (-a)^n.  Returns (w, r_a, r_b)."""
-    x, y = PHI, PSI
-    if variant == 811:
-        return unit_pow(x, p), unit_pow(x, p + 1) + 1, 1 - unit_pow(x, p - 1)
-    if variant == 812:
-        return -unit_pow(x, p), 1 - unit_pow(x, p + 1), unit_pow(x, p - 1) + 1
-    if variant == 813:
-        return unit_pow(y, p), 1 - unit_pow(y, p - 1), unit_pow(y, p + 1) + 1
-    if variant == 814:
-        return -unit_pow(y, p), unit_pow(y, p - 1) + 1, 1 - unit_pow(y, p + 1)
-    raise ValueError(f"variant must be one of 811, 812, 813, 814, got {variant}")
+    if variant not in _PROP1_VARIANTS:
+        raise ValueError(f"variant must be one of 811, 812, 813, 814, got {variant}")
+    b, s = _PROP1_VARIANTS[variant]
+    bases = 1 + s * unit_pow(b, p + 1), 1 - s * unit_pow(b, p - 1)
+    r_a, r_b = bases if b is PHI else bases[::-1]
+    return s * unit_pow(b, p), r_a, r_b
 
 
 def prop1_eval(n: int, p: int, variant: int) -> tuple[GoldenInt, GoldenInt]:
@@ -937,21 +933,10 @@ def _grid_columns(families, n_range, p_range):
                 yield family, p, ns, sorted(facts.readings)
 
 
-def audit_cells(families, n_range, p_range) -> list[tuple]:
-    """Enumerate the (family, n, p, reading) grid in report order: by
-    family, then p, then n, then reading name (a missing p or n sorts
-    first)."""
-    return [
-        (family, n, p, reading)
-        for family, p, ns, readings in _grid_columns(families, n_range, p_range)
-        for n in ns
-        for reading in readings
-    ]
-
-
 def audit_columns(families, n_range, p_range) -> Iterator[list[AuditEntry]]:
-    """The entries of each (family, p) column, one list per column, in the
-    order of `audit_cells`.  A column is built when its list is asked for
+    """The entries of each (family, p) column, one list per column, in
+    report order: by family, then p, then n, then reading name (a missing p
+    or n sorts first).  A column is built when its list is asked for
     and is freed once the list is made, so a caller that writes each list
     out holds one column, not the report."""
     for family, p, ns, readings in _grid_columns(families, n_range, p_range):
@@ -970,7 +955,7 @@ def audit_notes(families) -> tuple[str, ...]:
 
 def audit(families, n_range, p_range) -> AuditReport:
     """Run every applicable (family, n, p, reading) cell and collect
-    verdicts.  The report is deterministic: its entries are in the order
-    of `audit_cells`."""
+    verdicts.  The report is deterministic: its entries are in the report
+    order of `audit_columns`."""
     entries = chain.from_iterable(audit_columns(families, n_range, p_range))
     return AuditReport(entries=tuple(entries), notes=audit_notes(families))

@@ -1,10 +1,14 @@
 import csv
+import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,56 @@ def test_audit_out_io_failure(capsys):
         "--out", "/nonexistent-dir/report.txt",
     )
     assert rc == 4
+
+
+class _FullStdout:
+    """A stdout on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--n-max", "4"),
+        ("tables", "--n-max", "4"),
+        ("audit", "--families", "T2", "--n-max", "2", "--p-max", "1"),
+    ],
+)
+def test_stdout_io_failure_exits_4_with_one_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    rc = main(list(argv))
+    err = capsys.readouterr().err
+    assert rc == 4
+    # verify states its bounds on stderr before it writes the report.
+    errors = [line for line in err.splitlines() if not line.startswith("verify: n bounds")]
+    assert errors == [
+        f"error: cannot write standard output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    ]
+
+
+def test_closed_stdout_pipe_exits_4_with_one_line():
+    # Buffered stdout fails only when flushed: in the command, and again at
+    # interpreter exit unless the command has dropped what was left.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibaudit.cli", "tables", "--n-max", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr.decode() == (
+        f"error: cannot write standard output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+    )
 
 
 def test_escaping_exception_is_one_line(capsys, monkeypatch):
@@ -343,6 +397,9 @@ class _CountingSink:
 
     def write(self, text):
         self.chars += len(text)
+
+    def flush(self):
+        pass
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

@@ -9,7 +9,7 @@ from decimal import Decimal
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fibaudit import identities
 
@@ -23,7 +23,6 @@ from fibaudit.identities import (
     IdentityFamily,
     PreconditionError,
     audit,
-    audit_cells,
     closed_form_rhs,
     cross_power_expansion,
     fib_power_sum_binet,
@@ -32,7 +31,9 @@ from fibaudit.identities import (
     remark1_relation,
     render_exact,
 )
-from fibaudit.ring import GoldenInt, NotDivisible, NotIntegral, PHI, PSI, div_sqrt5
+from fibaudit.ring import (
+    GoldenInt, NotDivisible, NotIntegral, PHI, PSI, SQRT5, div_sqrt5, unit_pow
+)
 from fibaudit.sequences import coeff_row, fib, lucas
 from fibaudit.transforms import Seq
 
@@ -79,6 +80,36 @@ def test_remark1_all_relations():
         for index in range(1, 13):
             lhs, rhs = remark1_relation(p, index)
             assert lhs == rhs, (p, index)
+
+
+def _remark1_printed(p, index):
+    """Both sides of REMARK1 relation `index` at p as printed, one per index."""
+    x, y = PHI, PSI
+    relations = {
+        1: lambda: (x ** (4 * p) + 1, x ** (2 * p) * lucas(2 * p)),
+        2: lambda: (x ** (4 * p) - 1, x ** (2 * p) * SQRT5 * fib(2 * p)),
+        3: lambda: (x ** (4 * p - 2) + 1, x ** (2 * p - 1) * SQRT5 * fib(2 * p - 1)),
+        4: lambda: (x ** (4 * p + 2) + 1, x ** (2 * p + 1) * SQRT5 * fib(2 * p + 1)),
+        5: lambda: (x ** (4 * p - 2) - 1, x ** (2 * p - 1) * lucas(2 * p - 1)),
+        6: lambda: (x ** (4 * p + 2) - 1, x ** (2 * p + 1) * lucas(2 * p + 1)),
+        7: lambda: (y ** (4 * p) + 1, y ** (2 * p) * lucas(2 * p)),
+        8: lambda: (y ** (4 * p) - 1, -(y ** (2 * p)) * SQRT5 * fib(2 * p)),
+        9: lambda: (y ** (4 * p - 2) + 1, -(y ** (2 * p - 1)) * SQRT5 * fib(2 * p - 1)),
+        10: lambda: (y ** (4 * p + 2) + 1, -(y ** (2 * p + 1)) * SQRT5 * fib(2 * p + 1)),
+        11: lambda: (y ** (4 * p - 2) - 1, y ** (2 * p - 1) * lucas(2 * p - 1)),
+        12: lambda: (y ** (4 * p + 2) - 1, y ** (2 * p + 1) * lucas(2 * p + 1)),
+    }
+    return relations[index]()
+
+
+def test_remark1_table_gives_the_printed_relations():
+    # lhs == rhs holds for every row of the table, so a swap of two rows
+    # passes test_remark1_all_relations; each side must be the printed one.
+    for p in range(1, 65):
+        for index in range(1, 13):
+            got, want = remark1_relation(p, index), _remark1_printed(p, index)
+            assert [type(x) for x in got] == [type(x) for x in want] == [GoldenInt] * 2
+            assert got == want, (p, index)
 
 
 def test_remark1_bad_args():
@@ -362,13 +393,18 @@ def _count_oracle_and_renders(monkeypatch):
 _ORACLE_FAMILIES = [F.T2, F.T3, F.T4_EVEN, F.T4_ODD, F.T5, F.T6, F.T7]
 
 
+def _cells(report) -> list[tuple]:
+    """The (family, n, p, reading) of each entry of an audit report."""
+    return [(F(e.family), e.n, e.p, e.reading) for e in report.entries]
+
+
 def test_audit_dense_grid_calls_the_oracle_at_sample_cells_only(monkeypatch):
     families, n_range, p_range = _ORACLE_FAMILIES, range(9), range(3)
     expected = audit(families, n_range, p_range)
     calls, renders = _count_oracle_and_renders(monkeypatch)
     report = audit(families, n_range, p_range)
     assert report == expected
-    cells = audit_cells(families, n_range, p_range)
+    cells = _cells(report)
     want = []
     for family in families:
         power, sign = FAMILY_FACTS[family].power, FAMILY_FACTS[family].sign
@@ -400,7 +436,7 @@ def test_audit_sparse_grid_calls_the_oracle_once_per_family_n_p(monkeypatch):
     calls, renders = _count_oracle_and_renders(monkeypatch)
     report = audit(families, n_range, p_range)
     assert report == expected
-    distinct = {(c[0], c[1], c[2]) for c in audit_cells(families, n_range, p_range)}
+    distinct = {(c[0], c[1], c[2]) for c in _cells(report)}
     assert len(calls) == len(distinct)
     # T4_EVEN and T4_ODD share (power, sign) but split n by parity, so the
     # oracle's own arguments are distinct too.
@@ -499,7 +535,7 @@ def test_fast_path_mismatch_is_raised(monkeypatch, family, bump, at):
     side (PROP1 by 2, which keeps a ring element), then in every closed
     form, PROP1's included.  A column that is not dense never takes it."""
     sparse = audit([family], [2, 5, 8], [1])
-    ns = sorted({cell[1] for cell in audit_cells([family], range(9), [1])})
+    ns = sorted({e.n for e in audit([family], range(9), [1]).entries})
     n = ns[-1] if at == "last" else ns[(len(ns) - 1) // 2]
 
     def bump_left(k, lhs, forms):
@@ -690,6 +726,28 @@ def test_prop1_numerator_bases_are_the_left_side_roots():
             assert (r_a, r_b) == (1 + w * PHI, 1 + w * PSI), (variant, p)
 
 
+def _prop1_printed_terms(p, variant):
+    """(w, r_a, r_b) of a PROP1 variant as printed, one branch per variant."""
+    x, y = PHI, PSI
+    if variant == 811:
+        return unit_pow(x, p), unit_pow(x, p + 1) + 1, 1 - unit_pow(x, p - 1)
+    if variant == 812:
+        return -unit_pow(x, p), 1 - unit_pow(x, p + 1), unit_pow(x, p - 1) + 1
+    if variant == 813:
+        return unit_pow(y, p), 1 - unit_pow(y, p - 1), unit_pow(y, p + 1) + 1
+    return -unit_pow(y, p), unit_pow(y, p - 1) + 1, 1 - unit_pow(y, p + 1)
+
+
+def test_prop1_table_gives_the_printed_terms():
+    # Swapping the signs of 813 and 814 keeps every PROP1 column a PASS;
+    # each term must be the printed one.
+    for variant in (811, 812, 813, 814):
+        for p in range(65):
+            got, want = identities._prop1_terms(p, variant), _prop1_printed_terms(p, variant)
+            assert [type(x) for x in got] == [type(x) for x in want] == [GoldenInt] * 3
+            assert got == want, (variant, p)
+
+
 def test_prop1_dense_columns_match_prop1_eval_at_every_n():
     variants = [F.PROP1_811, F.PROP1_812, F.PROP1_813, F.PROP1_814]
     entries = audit(variants, range(101), range(7)).entries
@@ -851,14 +909,14 @@ def test_audit_json_escapes_strings_as_json_dumps(text):
 
 
 def test_audit_cells_cover_readings():
-    cells = audit_cells([F.T4_ODD], range(2), range(1, 2))
-    readings = {c[3] for c in cells}
+    readings = {e.reading for e in audit([F.T4_ODD], range(2), range(1, 2)).entries}
     assert readings == set(FAMILY_FACTS[F.T4_ODD].readings)
 
 
 def _audit_cells_reference(families, n_range, p_range) -> list[tuple]:
-    """`audit_cells` as it was written before `FAMILY_FACTS`: one branch
-    per kind of family."""
+    """The (family, n, p, reading) cells of an audit report in report order,
+    as the grid was enumerated before `FAMILY_FACTS`: one branch per kind
+    of family."""
     n_values = sorted(set(n_range))
     p_values = sorted(set(p_range))
     cells = []
@@ -894,23 +952,24 @@ def _audit_cells_reference(families, n_range, p_range) -> list[tuple]:
 
 def test_audit_cells_match_the_branching_reference():
     assert list(identities.FAMILY_FACTS) == list(IdentityFamily)
-    assert len(audit_cells(list(IdentityFamily), range(65), range(3))) == 2689
+    assert len(audit(list(IdentityFamily), range(65), range(3)).entries) == 2689
     n_sets = [[], [0], [5, 5, 3, 0, 3], range(0, 65, 3), [1, 3, 64], range(65)]
     p_sets = [[], [0], [5, 2, 2, 0], range(6), [1, 3]]
     for n_range in n_sets:
         for p_range in p_sets:
             for families in (list(F), [F.T4_ODD, F.REMARK1_3, F.T4_ODD], [F.LEMMA7]):
-                got = audit_cells(families, n_range, p_range)
+                got = _cells(audit(families, n_range, p_range))
                 assert got == _audit_cells_reference(families, n_range, p_range)
 
 
+@settings(deadline=None)  # each example is a real audit of up to 71 n
 @given(
     st.lists(st.sampled_from(list(F))),
     st.lists(st.integers(0, 70)),
     st.lists(st.integers(0, 5)),
 )
 def test_audit_cells_match_the_reference_on_random_grids(families, n_range, p_range):
-    assert audit_cells(families, n_range, p_range) == _audit_cells_reference(
+    assert _cells(audit(families, n_range, p_range)) == _audit_cells_reference(
         families, n_range, p_range
     )
 
