@@ -9,31 +9,32 @@ silently corrected.
 
 `FAMILY_FACTS` holds what each family is: the p and n of its cells, its
 readings, its --families group tag, the builder of its sides record and,
-for T2..T7, the builder of its closed-form record (`_T2T5Form`, `_T4Form`,
-`_T6T7Form`): the printed form at one p, held as data, whose `rhs` is the
-weighted dot product, the signs and one `_reduce`.  `audit_columns`
-evaluates the grid one (family, p) column at a time, and `REPORT_FORMATS`
-writes it one column per chunk.  Every column is one generator,
-`_column_sides`, which each of its cells advances once; the first builds
-the family's sides record at p (`_Remark1Sides`, `_OracleSides`,
-`_Prop1Sides`, `_LemmaSides`).  A record gives (left side, {reading: right
-side, or the NotIntegral/NotDivisible it raised}) by `cell(n, readings)`,
-one cell (`remark1_relation`, `fib_power_sum_oracle` and the closed-form
-record's `cell`, `_weighted_fib_sum`, or one `cross_power_expansion`),
-and, but for REMARK1's, by `dense(readings, N)` over a dense column: every
-n its family takes up to N, 0..N in every CLI audit or one parity for T4.
+for T2..T7, the builder of its closed-form record (`_T2T5Form`, built from
+one `_T2T5_SHAPES` row for each of T2..T5, or `_T6T7Form`): the printed form
+at one p, held as data, whose `rhs` is the weighted dot product, the signs
+and one `_reduce`.  `audit_columns` evaluates the grid one (family, p)
+column at a time, and `REPORT_FORMATS` writes it one column per chunk.
+Every column is one generator, `_column_sides`, which each of its cells
+advances once; the first builds the family's sides record at p
+(`_Remark1Sides`, `_OracleSides`, `_Prop1Sides`, `_LemmaSides`).  A record
+gives (left side, {reading: right side, or the NotIntegral/NotDivisible it
+raised}) by `cell(n, readings)`, one cell (`remark1_relation`,
+`fib_power_sum_oracle` and the closed-form record's `cell`,
+`_weighted_fib_sum`, or one `cross_power_expansion`), and, but for
+REMARK1's, by `dense(readings, N)` over a dense column: every n its family
+takes up to N, 0..N in every CLI audit or one parity for T4.
 Its sides are carried from one n to the next, holding O(1) values per n.
 The left sides of T2..T7, sum_k C(n,k) sigma^k F_k^P, are read off one
 binomial transform.  Every other carried value is a two-root sequence,
 stepped by one helper, `_recurrent`: PROP1's sum_k C(n,k) w^k F_k (roots
 1 + w phi, 1 + w psi) and its numerator r_a^n - r_b^n (a base printed with
 (-1)^n enters negated, as (-1)^n a^n = (-a)^n), LEMMA5/7's direct sums
-(roots phi + shift, psi + shift), and per j the F_{jn}, L_{jn} and the
-products B_j^n L_{jn} (T2, T3, T5) and X_{jn} F_j^n (T4) of `_multiples`
-(roots (c phi^j)^d, (c psi^j)^d), and T6/T7's F_{dn}.  Each q/s sum of
-T6/T7 and LEMMA5/7 is one coordinate of P_n(x) = sum_c q(n,c) x^c at x =
-+-phi^e, with P_n stepped by the q recurrences (`_row_sums`), so no row is
-formed; a cell sums its row by `_row_power_sum`, sharing no code with it.
+(roots phi + shift, psi + shift), and per j the products X_{jn} B_j^n of
+T2..T5 and T4's F_{jn} and L_{jn} of `_multiples` (roots (c phi^j)^d,
+(c psi^j)^d), and T6/T7's F_{dn}.  Each q/s sum of T6/T7 and LEMMA5/7 is
+one coordinate of P_n(x) = sum_c q(n,c) x^c at x = +-phi^e, with P_n
+stepped by the q recurrences (`_row_sums`), so no row is formed; a cell
+sums its row by `_row_power_sum`, sharing no code with it.
 The generator takes the next dense value, or in any other column the
 record's `cell`; at n = N and at the column's middle n it takes both, and a
 disagreement in value, type or exception message raises FastPathMismatch,
@@ -288,90 +289,73 @@ def _multiples(x, js, n0: int, d: int, c):
     ))
 
 
-class _T2T5Form(NamedTuple):
-    """T2 (m = 4p), T3 or T5 (m = 4p+2) at one p.  At n the printed form is
-      sign (head 2^n + sum_i eps_i C(m,i) B_j^n L_{jn}) sqrt5^(sqrt5 n) / 5^(m/2),
-    j = m/2 - i, with eps_i = (-1)^i at even n and 1 at odd n, and sign =
-    odd_sign at odd n and 1 at even n.  `rhs` takes the products B_j^n L_{jn}."""
+# family -> (B, the X of each list X_{jn} a cell takes, the power of sqrt5,
+# (sign, e) at odd n with eps_i = e^i, the readings whose base is F_{jn}).  F
+# and L go by letter and are looked up as a record is built, so a wrapped or
+# patched `fib` or `lucas` of this module is the one called.
+_T2T5_SHAPES = {
+    IdentityFamily.T2: ("L", "L", (0, 0), (1, 1), ()),
+    IdentityFamily.T3: ("F", "L", (1, 0), (1, 1), ()),
+    IdentityFamily.T4_EVEN: ("F", "FL", (1, 0), (1, -1), ("printed",)),
+    IdentityFamily.T4_ODD: ("F", "F", (1, 1), (1, -1), ("printed",)),
+    IdentityFamily.T5: ("L", "L", (0, 0), (-1, 1), ()),
+}
 
-    js: range  # m/2 down to 1, or to 0 for T3
-    plain: list  # C(m, i): the weights at odd n
-    signed: list  # (-1)^i C(m, i): the weights at even n
-    head: int  # C(m, m/2), or 0 for T3
-    base: Callable[[int], int]  # B: lucas, or fib for T3
-    sqrt5: int  # the power of sqrt5 is sqrt5 * n: 1 for T3, else 0
+
+class _T2T5Form(NamedTuple):
+    """T2, T4_EVEN, T4_ODD (m = 4p), T3 or T5 (m = 4p+2) at one p.  At n the
+    printed form is
+      sign (head 2^n + sum_i eps_i C(m,i) X_{jn} B_j^n) sqrt5^(a n + b) / 5^(m/2),
+    j = m/2 - i, with eps_i = (-1)^i at even n, and at odd n too for T4 but
+    1 for the others, and sign = odd_sign at odd n, 1 at even n.  X is L, or
+    F for T4_ODD, whose (1/sqrt5)^(4p-1) is sqrt5/5^(2p).  B_j is L_j, or
+    F_j with no head and j down to 0 (T3, T4), or F_{jn} in `jn_base`."""
+
+    js: range  # m/2 down to 1, or to 0 for T3 and T4
+    weights: tuple  # (eps_i C(m, i) at even n, at odd n)
+    head: int  # C(m, m/2), or 0 for T3 and T4
+    base: Callable[[int], int]  # B: lucas, or fib for T3 and T4
+    xs: tuple  # (lucas,), or (fib, lucas) for T4_EVEN and (fib,) for T4_ODD: X last
+    sqrt5: tuple  # (a, b): (0, 0) for T2 and T5, (1, 1) for T4_ODD, else (1, 0)
     odd_sign: int  # -1 for T5, else 1
     five_exp: int  # m/2
+    n_mod: tuple  # the family's (r, d): a dense column starts at n = r, steps by d
+    jn_base: tuple  # the readings whose base B^n is F_{jn}^n: T4's "printed"
 
-    def rhs(self, n: int, readings, products) -> dict:
-        sign, weights = (self.odd_sign, self.plain) if n % 2 else (1, self.signed)
-        total = sign * (self.head * 2**n + _dot(weights, products))
-        return dict.fromkeys(readings, _caught(_reduce, total, self.sqrt5 * n, self.five_exp))
-
-    def cell(self, n: int, readings) -> dict:
-        return self.rhs(n, readings, [self.base(j) ** n * lucas(j * n) for j in self.js])
-
-    def dense(self, readings):
-        products = _multiples(lucas, self.js, 0, 1, map(self.base, self.js))
-        return map(self.rhs, count(), repeat(readings), products)
-
-
-def _t2_t5_form(family: IdentityFamily, p: int) -> _T2T5Form:
-    m = FAMILY_FACTS[family].power(p)
-    t3 = family is IdentityFamily.T3
-    js = range(m // 2, -1 if t3 else 0, -1)
-    plain = [binomial(m, i) for i in range(len(js))]
-    return _T2T5Form(
-        js, plain, [(-1) ** i * c for i, c in enumerate(plain)],
-        0 if t3 else binomial(m, m // 2), fib if t3 else lucas, int(t3),
-        -1 if family is IdentityFamily.T5 else 1, m // 2,
-    )
-
-
-class _T4Form(NamedTuple):
-    """T4_EVEN or T4_ODD at one p, m = 4p.  At n the printed form is
-      sum_{i<=m/2} (-1)^i C(m,i) X_{jn} B^n sqrt5^(n + odd) / 5^(m/2),
-    j = m/2 - i, with X = L for T4_EVEN and F for T4_ODD (whose
-    (1/sqrt5)^(4p-1) is sqrt5/5^(2p)), so T4_ODD takes no L_{jn}.  The base
-    B is F_{jn} as printed and F_j in reading "base-subscript".  `rhs` takes
-    the products X_{jn} F_j^n, F_{jn} and L_{jn}.  A dense column starts at
-    n = odd and steps n by 2."""
-
-    js: range  # m/2 down to 0
-    signed: list  # (-1)^i C(m, i)
-    odd: int  # 1 for T4_ODD: X = F and one more sqrt5; 0 for T4_EVEN: X = L
-    five_exp: int  # m/2
-
-    def rhs(self, n: int, readings, products, f_jn, l_jn=None) -> dict:
+    def rhs(self, n: int, readings, products, *jn) -> dict:
+        """From the products and, for `jn_base`, F_{jn} and X_{jn}: jn[0], jn[-1]."""
+        sign, weights = (self.odd_sign, self.weights[1]) if n % 2 else (1, self.weights[0])
+        (a, b), head = self.sqrt5, self.head << n  # head 2^n
         out = {}
         for r in readings:
-            if r == "base-subscript":
-                total = _dot(self.signed, products)
-            else:
-                total = _dot(self.signed, map(mul, l_jn or f_jn, [f**n for f in f_jn]))
-            out[r] = _caught(_reduce, total, n + self.odd, self.five_exp)
+            terms = map(mul, jn[-1], [f**n for f in jn[0]]) if r in self.jn_base else products
+            total = sign * (head + _dot(weights, terms))
+            out[r] = _caught(_reduce, total, a * n + b, self.five_exp)
         return out
 
     def cell(self, n: int, readings) -> dict:
-        js = self.js
-        f_jn = [fib(j * n) for j in js]
-        l_jn = None if self.odd else [lucas(j * n) for j in js]
-        products = [x * fib(j) ** n for x, j in zip(l_jn or f_jn, js)]
-        return self.rhs(n, readings, products, f_jn, l_jn)
+        jn = [[x(j * n) for j in self.js] for x in self.xs]
+        products = [x_jn * self.base(j) ** n for x_jn, j in zip(jn[-1], self.js)]
+        return self.rhs(n, readings, products, *jn)
 
     def dense(self, readings):
-        odd, js = self.odd, self.js
-        xs = (fib,) if odd else (fib, lucas)
-        products = _multiples(xs[-1], js, odd, 2, map(fib, js))
-        f_jn, *l_jn = (_multiples(x, js, odd, 2, repeat(1)) for x in xs)
-        return map(self.rhs, count(odd, 2), repeat(readings), products, f_jn, *l_jn)
+        """Carries the products, and the lists of `xs` only for `jn_base`."""
+        (n0, d), js = self.n_mod, self.js
+        products = _multiples(self.xs[-1], js, n0, d, map(self.base, js))
+        jn = [_multiples(x, js, n0, d, repeat(1)) for x in self.xs] if self.jn_base else ()
+        return map(self.rhs, count(n0, d), repeat(readings), products, *jn)
 
 
-def _t4_form(family: IdentityFamily, p: int) -> _T4Form:
-    m = FAMILY_FACTS[family].power(p)
-    js = range(m // 2, -1, -1)
-    signed = [(-1) ** i * binomial(m, i) for i in range(len(js))]
-    return _T4Form(js, signed, int(family is IdentityFamily.T4_ODD), m // 2)
+def _t2_t5_form(family: IdentityFamily, p: int) -> _T2T5Form:
+    facts = FAMILY_FACTS[family]
+    b, xs, sqrt5, (odd_sign, odd_eps), jn_base = _T2T5_SHAPES[family]
+    m, seq = facts.power(p), {"F": fib, "L": lucas}
+    js = range(m // 2, -1 if b == "F" else 0, -1)
+    plain = [binomial(m, i) for i in range(len(js))]
+    weights = tuple([e**i * c for i, c in enumerate(plain)] for e in (-1, odd_eps))
+    head = 0 if b == "F" else binomial(m, m // 2)
+    xs = tuple(map(seq.get, xs))
+    return _T2T5Form(js, weights, head, seq[b], xs, sqrt5, odd_sign, m // 2, facts.n_mod, jn_base)
 
 
 class _T6T7Form(NamedTuple):
@@ -850,8 +834,8 @@ FAMILY_FACTS: dict[IdentityFamily, FamilyFacts] = {
     **{IdentityFamily(f"PROP1_{v}"): _PROP1 for v in (811, 812, 813, 814)},
     IdentityFamily.T2: FamilyFacts(_PRINTED, 1, (0, 1), lambda p: 4 * p, "+", _t2_t5_form),
     IdentityFamily.T3: FamilyFacts(_PRINTED, 0, (0, 1), lambda p: 4 * p + 2, "+", _t2_t5_form),
-    IdentityFamily.T4_EVEN: FamilyFacts(_T4, 1, (0, 2), lambda p: 4 * p, "-", _t4_form, "T4"),
-    IdentityFamily.T4_ODD: FamilyFacts(_T4, 1, (1, 2), lambda p: 4 * p, "-", _t4_form, "T4"),
+    IdentityFamily.T4_EVEN: FamilyFacts(_T4, 1, (0, 2), lambda p: 4 * p, "-", _t2_t5_form, "T4"),
+    IdentityFamily.T4_ODD: FamilyFacts(_T4, 1, (1, 2), lambda p: 4 * p, "-", _t2_t5_form, "T4"),
     IdentityFamily.T5: FamilyFacts(_PRINTED, 0, (0, 1), lambda p: 4 * p + 2, "-", _t2_t5_form),
     IdentityFamily.T6: FamilyFacts(_T6, 0, (0, 1), lambda p: 4 * p + 1, "+", _t6_t7_form),
     IdentityFamily.T7: FamilyFacts(_T7, 0, (0, 1), lambda p: 4 * p + 3, "+", _t6_t7_form),

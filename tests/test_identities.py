@@ -34,7 +34,7 @@ from fibaudit.identities import (
 from fibaudit.ring import (
     GoldenInt, NotDivisible, NotIntegral, PHI, PSI, SQRT5, div_sqrt5, unit_pow
 )
-from fibaudit.sequences import coeff_row, fib, lucas
+from fibaudit.sequences import binomial, coeff_row, fib, lucas
 from fibaudit.transforms import Seq
 
 F = IdentityFamily
@@ -110,6 +110,59 @@ def test_remark1_table_gives_the_printed_relations():
             got, want = remark1_relation(p, index), _remark1_printed(p, index)
             assert [type(x) for x in got] == [type(x) for x in want] == [GoldenInt] * 2
             assert got == want, (p, index)
+
+
+def _t2_t5_printed(family, n, p, reading):
+    """The T2..T5 closed form at (n, p) in `reading` as printed, one branch
+    per family: the integer total, then sqrt5^e / 5^(m/2) by `_reduce_reference`.
+    eps_i is (-1)^i at even n and 1 at odd n, and j = m/2 - i."""
+    eps = [(-1) ** i if n % 2 == 0 else 1 for i in range(2 * p + 2)]
+    if family is F.T2:  # m = 4p: C(m,m/2) 2^n + sum_{i<m/2} eps_i C(m,i) L_j^n L_{jn}
+        total = binomial(4 * p, 2 * p) * 2**n + sum(
+            eps[i] * binomial(4 * p, i) * lucas(2 * p - i) ** n * lucas((2 * p - i) * n)
+            for i in range(2 * p)
+        )
+        return _reduce_reference(total, 0, 2 * p)
+    if family is F.T3:  # m = 4p+2: sum_{i<=m/2} eps_i C(m,i) F_j^n L_{jn} sqrt5^n
+        total = sum(
+            eps[i] * binomial(4 * p + 2, i) * fib(2 * p + 1 - i) ** n * lucas((2 * p + 1 - i) * n)
+            for i in range(2 * p + 2)
+        )
+        return _reduce_reference(total, n, 2 * p + 1)
+    if family is F.T5:  # m = 4p+2, as T2 with L_j, and the whole negated at odd n
+        total = binomial(4 * p + 2, 2 * p + 1) * 2**n + sum(
+            eps[i] * binomial(4 * p + 2, i)
+            * lucas(2 * p + 1 - i) ** n * lucas((2 * p + 1 - i) * n)
+            for i in range(2 * p + 1)
+        )
+        return _reduce_reference(-total if n % 2 else total, 0, 2 * p + 1)
+    # T4, m = 4p: sum_{i<=m/2} (-1)^i C(m,i) X_{jn} B^n sqrt5^n, X = L for
+    # T4_EVEN; X = F for T4_ODD, whose (1/sqrt5)^(4p-1) is sqrt5/5^(2p).  B is
+    # F_{jn} as printed and F_j in reading base-subscript.
+    x, odd = (lucas, 0) if family is F.T4_EVEN else (fib, 1)
+    total = sum(
+        (-1) ** i * binomial(4 * p, i) * x((2 * p - i) * n)
+        * fib((2 * p - i) * (n if reading == "printed" else 1)) ** n
+        for i in range(2 * p + 1)
+    )
+    return _reduce_reference(total, n + odd, 2 * p)
+
+
+def test_t2_t5_closed_forms_are_the_printed_forms():
+    # One table row per family builds every T2..T5 record, so a row that is
+    # wrong in one place (say T4's weights at odd n) must show here, not only
+    # in a digest.
+    checked = 0
+    for family in (F.T2, F.T3, F.T4_EVEN, F.T4_ODD, F.T5):
+        facts = FAMILY_FACTS[family]
+        for reading in facts.readings:
+            for p in range(facts.p_min, 17):
+                for n in facts.ns(range(25)):
+                    got = _outcome(closed_form_rhs, family, n, p, reading)
+                    want = _outcome(_t2_t5_printed, family, n, p, reading)
+                    assert got == want, (family, reading, n, p)
+                    checked += 1
+    assert checked == 16 * 25 + 2 * 17 * 25 + 2 * 16 * (13 + 12)
 
 
 def test_remark1_bad_args():
@@ -495,18 +548,29 @@ def test_t4_even_column_matches_per_cell_evaluation():
 def test_t4_odd_takes_each_f_jn_once(monkeypatch):
     """T4_ODD's factor X is F itself, so F_{jn} is evaluated once per cell;
     a dense column carries the products X_{jn} F_j^n beside F_{jn}, and
-    T4_EVEN also L_{jn}."""
+    T4_EVEN also L_{jn}.  T2, T3 and T5 share T4's record but take no F_{jn}:
+    a cell evaluates none, and a column carries its products alone."""
     calls = []
     with monkeypatch.context() as m:
         m.setattr(identities, "fib", lambda k: calls.append(k) or fib(k))
         closed_form_rhs(F.T4_ODD, 9, 2)
     assert [calls.count(k) for k in (9, 18, 27, 36)] == [1, 1, 1, 1]
+    for family in (F.T2, F.T3, F.T5):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(identities, "fib", lambda k: calls.append(k) or fib(k))
+            closed_form_rhs(family, 9, 2)
+        assert not {9 * j for j in range(1, 6)} & set(calls), family
     real = identities._multiples
     monkeypatch.setattr(identities, "_multiples", lambda x, *a: calls.append(x) or real(x, *a))
     for family, carried in ((F.T4_ODD, [fib, fib]), (F.T4_EVEN, [lucas, fib, lucas])):
         calls.clear()
         audit([family], range(10), [2])
         assert calls == carried, family
+    for family in (F.T2, F.T3, F.T5):
+        calls.clear()
+        audit([family], range(10), [2])
+        assert calls == [lucas], family
 
 
 _FAST_PATHS = [
