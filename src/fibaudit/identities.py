@@ -73,7 +73,7 @@ from .transforms import Seq, binomial_transform
 
 
 class PreconditionError(ValueError):
-    """An evaluator precondition (e.g. a*b = -1) does not hold."""
+    """An evaluator precondition (e.g. a is invertible) does not hold."""
 
 
 class IdentityFamily(Enum):
@@ -454,8 +454,6 @@ def cross_power_expansion(n: int, a, shift: int):
         if a == 0:
             raise PreconditionError("a must be non-zero")
         b = Fraction(-1) / a
-    if a * b != -1:
-        raise PreconditionError(f"a*b = {a * b}, expected -1")
     a_shift, b_shift = _powers(a + shift, n), _powers(b + shift, n)
     row = coeff_row("Q" if shift == 1 else "S", n)
     return (

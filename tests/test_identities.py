@@ -736,6 +736,8 @@ def test_notdivisible_closed_form_fails_with_both_values(monkeypatch, n_range):
         assert (e.lhs, e.rhs, e.verdict, e.note) == (
             lhs, str(raised.value), "FAIL", "closed form not divisible by sqrt5"
         )
+        with pytest.raises(NotDivisible, match=re.escape(str(raised.value))):
+            prop1_eval(e.n, 1, 811)
 
 
 @pytest.mark.parametrize("family", [F.LEMMA5, F.LEMMA7])
@@ -1065,6 +1067,8 @@ def test_render_exact():
         render_exact(1.5)
     with pytest.raises(TypeError):
         render_exact("12")
+    with pytest.raises(TypeError):
+        render_exact(True)
 
 
 # Either side of CPython's default 4300-digit int->str limit, far past it,

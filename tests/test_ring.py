@@ -118,6 +118,7 @@ def test_to_integer_examples():
 def test_unit_inverse():
     assert unit_inverse(PHI) * PHI == 1
     assert unit_pow(PHI, -1) == -PSI
+    assert unit_inverse(PHI * PHI) == PSI * PSI  # norm +1
     with pytest.raises(NotDivisible):
         unit_inverse(GoldenInt(4, 0))  # norm 4, not a unit
     # A norm past the int->str limit is still reported as NotDivisible.
@@ -130,6 +131,17 @@ def test_fraction_interop():
     assert Fraction(2) * PHI == GoldenInt(2, 2)
     with pytest.raises(TypeError):
         PHI * Fraction(1, 2)
+    assert hash(GoldenInt(6, 0)) == hash(3) == hash(Fraction(3))
+    assert hash(PHI) == hash(GoldenInt(1, 1))
+    assert [bool(z) for z in (ZERO, ONE, SQRT5, PHI)] == [False, True, True, True]
+
+
+def test_str_operands_are_refused():
+    for op in (lambda: PHI + "1", lambda: PHI - "1", lambda: "1" - PHI,
+               lambda: PHI * "1", lambda: PHI ** "2"):
+        with pytest.raises(TypeError):
+            op()
+    assert (PHI == "1") is False
 
 
 @given(golden, golden)

@@ -21,12 +21,16 @@ def test_fib_spot_values():
     assert fib(0) == 0
     assert fib(10) == 55
     assert fib(20) == 6765
+    with pytest.raises(ValueError):
+        fib(-1)
 
 
 def test_lucas_spot_values():
     assert lucas(0) == 2
     assert lucas(1) == 1
     assert lucas(10) == 123
+    with pytest.raises(ValueError):
+        lucas(-1)
 
 
 def test_fast_doubling_matches_naive():
@@ -55,6 +59,8 @@ def test_q_spot_values():
     assert q_coeff(1, 1) == 1
     assert q_coeff(2, 1) == 3
     assert q_coeff(2, 1) == q_coeff(1, 0) + q_coeff(1, 1)
+    with pytest.raises(ValueError):
+        q_coeff(-1, 0)
 
 
 def test_s_spot_values():
