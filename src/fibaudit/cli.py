@@ -154,10 +154,12 @@ def _suite_lemma1(rng, top):
     b = _random_seq(rng, top + 1)
     for n in range(top + 1):
         for m in range(n + 1):
-            yield nabla_direct(b, m, n) == nabla_sum(b, m, n)
-            yield binomial(n, m) * nabla_sum(b, m, n) == sum(
+            nabla = nabla_sum(b, m, n)
+            yield nabla_direct(b, m, n) == nabla
+            # C(j, n-m) = 0 for j < n-m.
+            yield binomial(n, m) * nabla == sum(
                 binomial(n, j) * binomial(j, n - m) * (-1) ** (n - j) * b[j]
-                for j in range(n + 1)
+                for j in range(n - m, n + 1)
             )
 
 
@@ -166,10 +168,12 @@ def _suite_lemma2(rng, top):
     b = binomial_transform(a)
     for n in range(top + 1):
         for m in range(n + 1):
-            yield lemma2_lhs(a, m, n) == nabla_sum(b, m, n)
+            nabla = nabla_sum(b, m, n)
+            yield lemma2_lhs(a, m, n) == nabla
+            # C(k, m) = 0 for k < m.
             yield sum(
-                binomial(n, k) * binomial(k, m) * a[k] for k in range(n + 1)
-            ) == binomial(n, m) * nabla_sum(b, m, n)
+                binomial(n, k) * binomial(k, m) * a[k] for k in range(m, n + 1)
+            ) == binomial(n, m) * nabla
 
 
 def _suite_lemma3(rng, top):
@@ -204,9 +208,10 @@ def _suite_gould(rng, top):
     for n in range(top + 1):
         for m in range(n + 1):
             for l in range(n + 1):
+                # C(n-k, l) = 0 for k > n-l.
                 yield sum(
                     binomial(m, k) * binomial(n - k, l) * (-1) ** k
-                    for k in range(m + 1)
+                    for k in range(min(m, n - l) + 1)
                 ) == binomial(n - m, l - m)
     for n in range(1, top + 1):
         for m in range(1, n + 1):

@@ -7,6 +7,7 @@ are ExactScalars; no floating point anywhere.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,36 +83,51 @@ def _check_index(b: Seq, m: int, n: int) -> None:
 
 
 def nabla_direct(b: Seq, m: int, n: int) -> ExactScalar:
-    """m-fold backward difference at index n, by repeated differencing."""
+    """m-fold backward difference at index n, by repeated differencing.
+
+    Only the window b_{n-m..n} reaches it: it is the m-th forward
+    difference of the window at index 0, the last leading entry of the
+    window's difference table.
+    """
     _check_index(b, m, n)
-    vals = list(b.values[: n + 1])
-    for _ in range(m):
-        vals = [vals[i] - vals[i - 1] for i in range(1, len(vals))]
-    return vals[-1]
+    return _leading_entries(Seq(b.values[n - m:n + 1]), operator.sub)[m]
 
 
 def nabla_sum(b: Seq, m: int, n: int) -> ExactScalar:
     """m-fold backward difference at index n, as the alternating sum
     sum_k C(m,k) (-1)^k b_{n-k}.  Agrees with nabla_direct everywhere."""
     _check_index(b, m, n)
-    return sum(binomial(m, k) * (-1) ** k * b[n - k] for k in range(m + 1))
+    total = 0
+    signed = 1  # (-1)^k C(m, k)
+    for k in range(m + 1):
+        total += signed * b[n - k]
+        signed = -signed * (m - k) // (k + 1)
+    return total
 
 
 def lemma2_lhs(a: Seq, m: int, n: int) -> ExactScalar:
     """sum_k C(n-m, k-m) a_k; equals the m-fold difference of the
     transform of a at index n."""
     _check_index(a, m, n)
-    return sum(binomial(n - m, k - m) * a[k] for k in range(n + 1))
+    total = 0
+    coeff = 1  # C(n-m, k-m); zero for k < m
+    for k in range(m, n + 1):
+        total += coeff * a[k]
+        coeff = coeff * (n - k) // (k - m + 1)
+    return total
 
 
 def lemma3_sum(n: int, m: int) -> Fraction:
     """sum_{k=m..n} C(n,k) C(k,m) (-1)^k / k, exactly (-1)^m / m."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    total = Fraction(0)
-    for k in range(m, n + 1):
-        total += Fraction(binomial(n, k) * binomial(k, m) * (-1) ** k, k)
-    return total
+    # Integer numerators over one common denominator, one Fraction at the end.
+    denominator = math.lcm(*range(m, n + 1))
+    numerator = sum(
+        binomial(n, k) * binomial(k, m) * (-1) ** k * (denominator // k)
+        for k in range(m, n + 1)
+    )
+    return Fraction(numerator, denominator)
 
 
 def theorem1_eval(a: Seq, c: Seq) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
@@ -142,6 +158,15 @@ def theorem1_eval(a: Seq, c: Seq) -> tuple[ExactScalar, ExactScalar, ExactScalar
     return lhs, rhs8, rhs81
 
 
+def _powers(x: ExactScalar, n: int) -> list[ExactScalar]:
+    """[x ** 0, x ** 1, ..., x ** n], each carried from the one before by
+    one multiplication; each has the value and type of x ** k."""
+    out = [x ** 0]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
 def corollary1_eval(e: Seq, x: ExactScalar) -> tuple[ExactScalar, ExactScalar]:
     """Polynomial identity sum_k C(n,k) e_k x^k =
     sum_j C(n,j) f_j x^j (1-x)^(n-j), with f_j = sum_{k<=j} C(j,k) e_k.
@@ -150,10 +175,11 @@ def corollary1_eval(e: Seq, x: ExactScalar) -> tuple[ExactScalar, ExactScalar]:
     """
     n = len(e) - 1
     f = binomial_transform(e)
-    lhs = sum(binomial(n, k) * e[k] * x**k for k in range(n + 1))
-    one_minus_x = 1 - x
+    x_pow = _powers(x, n)
+    lhs = sum(binomial(n, k) * e[k] * x_pow[k] for k in range(n + 1))
+    one_minus_x_pow = _powers(1 - x, n)
     rhs = sum(
-        binomial(n, j) * f[j] * x**j * one_minus_x**(n - j)
+        binomial(n, j) * f[j] * x_pow[j] * one_minus_x_pow[n - j]
         for j in range(n + 1)
     )
     return lhs, rhs
@@ -164,10 +190,11 @@ def corollary2_eval(a: Seq, x: ExactScalar) -> tuple[ExactScalar, ExactScalar]:
     sum_m C(n,m) nabla^m b_n (x-1)^m, for any exact scalar x."""
     n = len(a) - 1
     b = binomial_transform(a)
-    lhs = sum(binomial(n, k) * a[k] * x**k for k in range(n + 1))
-    x_minus_1 = x - 1
+    x_pow = _powers(x, n)
+    lhs = sum(binomial(n, k) * a[k] * x_pow[k] for k in range(n + 1))
+    x_minus_1_pow = _powers(x - 1, n)
     rhs = sum(
-        binomial(n, m) * nabla_sum(b, m, n) * x_minus_1**m
+        binomial(n, m) * nabla_sum(b, m, n) * x_minus_1_pow[m]
         for m in range(n + 1)
     )
     return lhs, rhs

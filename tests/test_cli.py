@@ -157,44 +157,85 @@ class _FullStdout:
         pass
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "--n-max", "4"),
-        ("tables", "--n-max", "4"),
-        ("audit", "--families", "T2", "--n-max", "2", "--p-max", "1"),
-    ],
+_WRITE_FAILURE_ARGVS = [
+    ("verify", "--n-max", "4"),
+    ("tables", "--n-max", "4"),
+    ("audit", "--families", "T2", "--n-max", "2", "--p-max", "1"),
+]
+
+
+_ENOSPC_LINE = (
+    f"error: cannot write standard output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 )
+
+
+def _stdout_error_lines(err):
+    """The lines of `err` other than the bounds line verify writes before
+    its report."""
+    return [line for line in err.splitlines() if not line.startswith("verify: n bounds")]
+
+
+@pytest.mark.parametrize("argv", _WRITE_FAILURE_ARGVS)
 def test_stdout_io_failure_exits_4_with_one_line(capsys, monkeypatch, argv):
     monkeypatch.setattr(sys, "stdout", _FullStdout())
     rc = main(list(argv))
     err = capsys.readouterr().err
     assert rc == 4
-    # verify states its bounds on stderr before it writes the report.
-    errors = [line for line in err.splitlines() if not line.startswith("verify: n bounds")]
-    assert errors == [
-        f"error: cannot write standard output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-    ]
+    assert _stdout_error_lines(err) == [_ENOSPC_LINE]
+
+
+def _run_module(argv, stdout):
+    """`python -m fibaudit.cli argv` with the given stdout and buffered
+    output: buffered stdout fails only when flushed, in the command and
+    again at interpreter exit unless the command has dropped what was left."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "fibaudit.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+    )
 
 
 def test_closed_stdout_pipe_exits_4_with_one_line():
-    # Buffered stdout fails only when flushed: in the command, and again at
-    # interpreter exit unless the command has dropped what was left.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "fibaudit.cli", "tables", "--n-max", "4"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
+        proc = _run_module(["tables", "--n-max", "4"], write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 4
     assert proc.stderr.decode() == (
         f"error: cannot write standard output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="this system has no /dev/full")
+@pytest.mark.parametrize("argv", _WRITE_FAILURE_ARGVS, ids=["verify", "tables", "audit"])
+def test_full_device_stdout_exits_4_with_one_line(argv):
+    # /dev/full fails every write with ENOSPC.
+    with open("/dev/full", "wb") as full:
+        proc = _run_module(argv, full)
+    assert proc.returncode == 4
+    assert _stdout_error_lines(proc.stderr.decode()) == [_ENOSPC_LINE]
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        *[(("tables", "--n-max", "64", "--format", f), 0) for f in ("text", "csv", "json")],
+        (("audit", "--families", "all", "--n-max", "16", "--p-max", "2", "--format", "json"), 3),
+    ],
+    ids=["tables-text", "tables-csv", "tables-json", "audit-json"],
+)
+def test_report_to_stdout_and_to_out_agree(capsys, tmp_path, argv, rc):
+    path = tmp_path / "report"
+    rc_stdout, stdout, _ = run(capsys, *argv)
+    rc_out, empty, _ = run(capsys, *argv, "--out", str(path))
+    report = path.read_bytes()
+    assert (rc_stdout, rc_out, empty) == (rc, rc, "")
+    assert stdout.encode("utf-8") == report
+    if argv[-1] == "json":
+        json.loads(report)
 
 
 def test_escaping_exception_is_one_line(capsys, monkeypatch):

@@ -150,6 +150,7 @@ def test_lemma3():
     for n in range(1, 31):
         for m in range(1, n + 1):
             assert lemma3_sum(n, m) == Fraction((-1) ** m, m)
+    assert lemma3_sum(2, 3) == lemma3_sum(0, 1) == 0  # n < m: the empty sum
     with pytest.raises(DomainError):
         lemma3_sum(3, 0)
 
